@@ -3,18 +3,21 @@
 // single-cycle multiplier) and per-instruction-class energy accounting
 // against the paper's Table 3.
 //
-// Execution engine: the Thumb image is decoded ONCE at Cpu construction
-// into a flat cache indexed by halfword (`codec.h::predecode`), and
-// `step()`/`call()` execute straight out of that cache — the interpreter
-// never re-decodes a retired instruction. Slots that do not decode (data
-// words, literal pools, BL low halfwords) trap to a fresh `decode()` when
-// the PC actually lands on them, so error behavior is identical to
-// decoding per step. `DecodeMode::kPerStep` keeps the original
-// decode-every-instruction path alive as the reference engine for
-// differential tests (`tests/armvm/predecode_test.cpp`) and the
-// `bench_vm_throughput` speedup baseline; both modes retire the same
-// instruction stream and produce bit-identical cycle counts, histograms
-// and energy reports.
+// Each instruction is defined once: its semantics in semantics.inc, its
+// cost pairs in static_costs() (isa.h). Three engines execute those
+// definitions and are bit-identical in cycles, histograms, energy and
+// traced event streams:
+//   - kPerStep decodes every instruction afresh: the reference engine
+//     for decode, caching, fusion, batched accounting and fault replay
+//     (tests/armvm/predecode_test.cpp, threaded_test.cpp);
+//   - kPredecode executes from the Program's construction-time decode
+//     cache. Slots that do not decode (data words, literal pools, BL low
+//     halfwords) trap to a fresh decode() when the PC lands on them, so
+//     errors match kPerStep;
+//   - kThreaded additionally retires fused basic blocks in one dispatch
+//     (superinst.h, dispatch.cpp).
+// exec<kTraced>() runs one instruction for the first two and for every
+// instruction the threaded engine does not fuse.
 #pragma once
 
 #include <bit>
@@ -407,13 +410,13 @@ class Cpu {
   enum class DecodeMode {
     kPredecode,  ///< execute from the construction-time decode cache
     kPerStep,    ///< reference engine: fresh decode() every instruction
-    kThreaded,   ///< token-threaded dispatch over the predecode cache,
-                 ///< with fused basic-block superinstructions and
-                 ///< batched accounting (see armvm/superinst.h). Falls
-                 ///< back to per-instruction execution when a TraceSink
-                 ///< is attached, when the budget would expire inside a
-                 ///< block, or when the PC enters a block anywhere but
-                 ///< its head. Bit-identical to the other engines.
+    kThreaded,   ///< kPredecode plus token-threaded dispatch of fused
+                 ///< basic-block superinstructions with batched
+                 ///< accounting (see armvm/superinst.h). Executes
+                 ///< per-instruction when a TraceSink is attached, when
+                 ///< the RAM is protected, when the budget would expire
+                 ///< inside a block, or when the PC enters a block
+                 ///< anywhere but its head.
   };
 
   /// A Cpu is a cheap per-run execution context over a shared immutable
@@ -502,15 +505,28 @@ class Cpu {
 
  private:
   bool step_impl();
-  /// The interpreter core, stamped out twice: the untraced instantiation
-  /// is bit-for-bit the seed hot path (no event assembly, no extra
-  /// branches anywhere inside the flattened loop); the traced one
-  /// records cost pairs and memory accesses into the scratch event.
+  /// Execute one instruction (PC already at its fallthrough): its body
+  /// from semantics.inc, then its static_costs() pairs. Stamped out
+  /// twice: the untraced instantiation has no event assembly in it; the
+  /// traced one records cost pairs and memory accesses into the scratch
+  /// event.
   template <bool kTraced>
   void exec(const Instr& ins, unsigned halfwords);
-  std::uint32_t add_with_carry(std::uint32_t a, std::uint32_t b, bool cin,
-                               bool set_flags);
-  void set_nz(std::uint32_t v);
+  /// ARMv6-M AddWithCarry with the flag destinations as parameters, so
+  /// exec (member flags) and the fused dispatcher (block-local flag
+  /// copies) bind the same arithmetic.
+  static std::uint32_t add_with_carry(std::uint32_t a, std::uint32_t b,
+                                      bool cin, bool& n, bool& z, bool& c,
+                                      bool& v) {
+    const std::uint64_t wide =
+        static_cast<std::uint64_t>(a) + b + (cin ? 1 : 0);
+    const auto result = static_cast<std::uint32_t>(wide);
+    n = (result >> 31) != 0;
+    z = result == 0;
+    c = (wide >> 32) != 0;
+    v = (~(a ^ b) & (a ^ result) & 0x80000000u) != 0;
+    return result;
+  }
   // Defined inline below so both interpreter translation units (cpu.cpp
   // and the threaded dispatcher in dispatch.cpp) flatten the memory
   // fast paths into their hot loops.
@@ -539,18 +555,17 @@ class Cpu {
   /// deliver it to the sink.
   void exec_traced(std::uint32_t pc, const Instr& ins, unsigned halfwords);
   [[noreturn]] void trap_undecodable(std::size_t idx) const;
+  /// The bulk runner of kPredecode and kThreaded: picks the loop
+  /// instantiation once per chunk.
   std::uint64_t run_predecoded(std::uint64_t limit);
-  /// kProt selects the protected-memory variant, which drains the
+  /// kTraced delivers every retirement to the sink; kProt drains the
   /// Memory's pending wait-state cycles into the kMemWait class after
-  /// every retired instruction. The untraced/raw instantiation stays
-  /// bit-for-bit the seed hot path.
-  template <bool kTraced, bool kProt>
+  /// every instruction; kFused enters fused blocks at their heads (raw,
+  /// untraced runs of kThreaded only: blocks precompute their cycle
+  /// totals and access the RAM bytes directly, so they can neither trace
+  /// nor see wait-states).
+  template <bool kTraced, bool kProt, bool kFused>
   std::uint64_t run_predecoded_impl(std::uint64_t limit);
-  /// Threaded-engine chunk runner (dispatch.cpp). Falls back to the
-  /// traced predecoded loop when a sink is attached or the RAM is
-  /// protected (fused blocks precompute cycle deltas and bypass the
-  /// Memory accessors entirely, so they cannot see wait-states).
-  std::uint64_t run_threaded(std::uint64_t limit);
   /// Retire one whole fused block (PC is at its head). On a Fault,
   /// replays the accounting of the instructions that retired before the
   /// faulting one and leaves the exact per-step architectural state.

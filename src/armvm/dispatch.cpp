@@ -1,32 +1,31 @@
-// The token-threaded execution engine (DecodeMode::kThreaded).
+// The token-threaded execution engine (DecodeMode::kThreaded): the
+// superblock dispatcher, plus the engine-name helpers of dispatch.h.
 //
-// Two layers:
-//   Cpu::run_threaded   — the chunk runner. Same PC-validation contract
-//     as the predecoded loop; additionally consults the Program's
-//     ThreadedImage and, when the PC sits on a fused-block head and the
-//     whole block fits in the remaining instruction budget, retires the
-//     block in one call. Everything else (interior entry after a
-//     snapshot restore, budget boundary, undecodable slot, control
-//     flow) executes per-instruction from the predecode cache, and
-//     traced runs delegate wholesale to the traced predecoded loop so
-//     the rich TraceEvent stream is bit-identical by construction.
-//   Cpu::run_fused_block — the superblock dispatcher. Executes the
-//     fused instructions against local flag copies with NO per-
-//     instruction accounting; on success applies the block's
-//     precomputed cycle/histogram delta in one step, on a Fault replays
-//     the static cost pairs of the instructions that retired before the
-//     faulting one so the architectural state (PC, flags, stats) is
-//     exactly what the per-step oracle leaves behind.
+// The threaded engine's chunk loop is the predecoded one
+// (Cpu::run_predecoded_impl<..., kFused = true>, cpu.cpp): it enters a
+// fused block when the PC sits on a block head and the whole block fits
+// in the remaining budget, and executes everything else — interior
+// entry after a snapshot restore, budget boundary, undecodable slot,
+// control flow, traced or protected-memory runs — per-instruction
+// through Cpu::exec.
+//
+// Cpu::run_fused_block retires one block. It runs the instruction
+// bodies of semantics.inc — the same bodies Cpu::exec runs — against
+// block-local flag copies and a hoisted RAM view, with NO per-
+// instruction accounting: on success it applies the block's
+// precomputed cycle/histogram totals in one step; on a Fault it replays
+// the static_costs() pairs of the instructions that retired before the
+// faulting one, so the architectural state (PC, flags, stats) is
+// exactly what the per-step oracle leaves behind.
 //
 // Dispatch form: computed goto (&&label, the classic token-threading
-// idiom) on GNU/Clang; a switch over the same handler bodies otherwise
-// or when ECCM0_SWITCH_DISPATCH_ONLY is defined (CMake option
-// ECCM0_SWITCH_DISPATCH — the CI portability leg). Both forms include
-// exec_fused.inc, so there is exactly one copy of each handler's logic.
+// idiom) through a token table generated from ECCM0_FOR_EACH_OP on
+// GNU/Clang; a switch over the same bodies otherwise or when
+// ECCM0_SWITCH_DISPATCH_ONLY is defined (CMake option
+// ECCM0_SWITCH_DISPATCH — the CI portability leg).
 #include "armvm/dispatch.h"
 
 #include <cstddef>
-#include <iterator>
 #include <stdexcept>
 #include <string>
 
@@ -62,41 +61,7 @@ bool threaded_dispatch_uses_computed_goto() {
   return ECCM0_USE_COMPUTED_GOTO != 0;
 }
 
-// Every Op in isa.h declaration order — the token table of the
-// computed-goto dispatcher is built from this list, and the
-// static_asserts below pin it against the enum so a reordered or added
-// Op fails the build here instead of mis-dispatching.
-#define ECCM0_FOR_EACH_OP(X)                                                  \
-  X(LslImm) X(LsrImm) X(AsrImm)                                               \
-  X(LslReg) X(LsrReg) X(AsrReg) X(RorReg)                                     \
-  X(AddReg) X(SubReg) X(AddImm3) X(SubImm3)                                   \
-  X(MovImm) X(CmpImm) X(AddImm8) X(SubImm8)                                   \
-  X(And) X(Eor) X(Adc) X(Sbc) X(Tst) X(Rsb) X(CmpReg) X(Cmn) X(Orr) X(Mul)   \
-  X(Bic) X(Mvn)                                                               \
-  X(AddHi) X(CmpHi) X(MovHi) X(Bx) X(Blx)                                     \
-  X(LdrLit) X(LdrImm) X(StrImm) X(LdrbImm) X(StrbImm) X(LdrhImm) X(StrhImm)   \
-  X(LdrReg) X(StrReg) X(LdrbReg) X(StrbReg) X(LdrhReg) X(StrhReg)             \
-  X(LdrsbReg) X(LdrshReg) X(LdrSp) X(StrSp) X(AddSpImm7) X(SubSpImm7)         \
-  X(AddRdSp) X(Adr) X(Push) X(Pop) X(Ldm) X(Stm)                              \
-  X(BCond) X(B) X(Bl)                                                         \
-  X(Sxth) X(Sxtb) X(Uxth) X(Uxtb) X(Rev) X(Rev16) X(Revsh) X(Nop) X(Bkpt)
-
 namespace {
-
-#define ECCM0_OP_ENTRY(name) Op::k##name,
-constexpr Op kOpOrder[] = {ECCM0_FOR_EACH_OP(ECCM0_OP_ENTRY)};
-#undef ECCM0_OP_ENTRY
-
-constexpr bool op_order_consistent() {
-  for (std::size_t i = 0; i < std::size(kOpOrder); ++i) {
-    if (static_cast<std::size_t>(kOpOrder[i]) != i) return false;
-  }
-  return true;
-}
-static_assert(std::size(kOpOrder) == kNumOps,
-              "ECCM0_FOR_EACH_OP out of sync with the Op enum");
-static_assert(op_order_consistent(),
-              "ECCM0_FOR_EACH_OP order out of sync with the Op enum");
 
 [[noreturn]] void bad_fused_token() {
   throw std::logic_error("Cpu: control-flow op inside a fused block");
@@ -153,18 +118,13 @@ void Cpu::run_fused_block(const SuperBlock& blk) {
     ln = (v >> 31) != 0;
     lz = v == 0;
   };
-  const auto adcl = [&](std::uint32_t a, std::uint32_t b, bool cin,
-                        bool set_flags) {
-    const std::uint64_t wide =
-        static_cast<std::uint64_t>(a) + b + (cin ? 1 : 0);
-    const auto result = static_cast<std::uint32_t>(wide);
-    if (set_flags) {
-      set_nzl(result);
-      lc = (wide >> 32) != 0;
-      lv = (~(a ^ b) & (a ^ result) & 0x80000000u) != 0;
-    }
-    return result;
+  const auto adcl = [&](std::uint32_t a, std::uint32_t b, bool cin) {
+    return add_with_carry(a, b, cin, ln, lz, lc, lv);
   };
+  // Ops that always branch get no body below; the operand-dependent
+  // branches (hi-register writes to PC, POP {..., pc}) are never fused
+  // either (superinst.h).
+  const auto branch_to = [](std::uint32_t) { bad_fused_token(); };
 #if ECCM0_USE_COMPUTED_GOTO
   // The block cursor is the dispatcher's only loop variable: each
   // handler bumps it and jumps through the token table, and the
@@ -183,51 +143,45 @@ void Cpu::run_fused_block(const SuperBlock& blk) {
     // central dispatch branch for the host predictor to miss on. One
     // extra entry past the real Ops: the block terminator.
     static const void* const token_targets[] = {
-#define ECCM0_TOKEN_ENTRY(name) &&handler_##name,
+#define ECCM0_TOKEN_ENTRY(name, mnemonic, cls, cycles) &&handler_##name,
         ECCM0_FOR_EACH_OP(ECCM0_TOKEN_ENTRY)
 #undef ECCM0_TOKEN_ENTRY
         &&block_done,
     };
-    static_assert(sizeof(token_targets) / sizeof(token_targets[0]) ==
-                  kNumOps + 1);
     goto* token_targets[static_cast<std::size_t>(fp->ins.op)];
 
-#define ECCM0_FUSED_CASE(name) \
-  handler_##name : {           \
-    const FusedInstr& F = *fp;
-#define ECCM0_FUSED_END \
-  }                     \
-  ++fp;                 \
+#define ECCM0_OP(name)                                 \
+  handler_##name:                                      \
+  if constexpr (always_control_flow(Op::k##name)) {    \
+    bad_fused_token();                                 \
+  } else {                                             \
+    [[maybe_unused]] const Instr& I = fp->ins;         \
+    [[maybe_unused]] const std::uint32_t pc4 = fp->pc4;
+#define ECCM0_OP_END \
+  }                  \
+  ++fp;              \
   goto* token_targets[static_cast<std::size_t>(fp->ins.op)];
-#include "armvm/exec_fused.inc"
-#undef ECCM0_FUSED_CASE
-#undef ECCM0_FUSED_END
-
-  // Control-flow tokens never appear in a fused block (the builder
-  // excludes them); their table entries land here.
-  handler_Bx:
-  handler_Blx:
-  handler_BCond:
-  handler_B:
-  handler_Bl:
-  handler_Bkpt:
-    bad_fused_token();
+#include "armvm/semantics.inc"
+#undef ECCM0_OP
+#undef ECCM0_OP_END
   block_done:;
 #else
     for (; j < count; ++j) {
       const FusedInstr* const fp = code + j;
       switch (fp->ins.op) {
-#define ECCM0_FUSED_CASE(name) \
-  case Op::k##name: {          \
-    const FusedInstr& F = *fp;
-#define ECCM0_FUSED_END \
-  }                     \
+#define ECCM0_OP(name)                                 \
+  case Op::k##name:                                    \
+  if constexpr (always_control_flow(Op::k##name)) {    \
+    bad_fused_token();                                 \
+  } else {                                             \
+    [[maybe_unused]] const Instr& I = fp->ins;         \
+    [[maybe_unused]] const std::uint32_t pc4 = fp->pc4;
+#define ECCM0_OP_END \
+  }                  \
   break;
-#include "armvm/exec_fused.inc"
-#undef ECCM0_FUSED_CASE
-#undef ECCM0_FUSED_END
-        default:
-          bad_fused_token();
+#include "armvm/semantics.inc"
+#undef ECCM0_OP
+#undef ECCM0_OP_END
       }
     }
 #endif
@@ -264,69 +218,6 @@ void Cpu::run_fused_block(const SuperBlock& blk) {
   for (const auto& [cls, cyc] : blk.hist) stats_.histogram.add(cls, cyc);
   fused_retired_ += count;
   ++fused_blocks_entered_;
-}
-
-std::uint64_t Cpu::run_threaded(std::uint64_t limit) {
-  if (ram_.is_protected()) {
-    // Protected-memory fallback: fused blocks hoist the raw RAM bytes
-    // into locals and pre-batch their cycle totals, so they can neither
-    // run the codec nor account wait-states. The protected predecoded
-    // loop is bit-identical by construction; raw memory keeps the full
-    // threaded speed.
-    return run_predecoded(limit);
-  }
-  if (trace_ != nullptr) {
-    // Traced fallback: the rich per-instruction event stream cannot be
-    // batched, and the traced predecoded loop already produces it
-    // bit-identically.
-    return run_predecoded(limit);
-  }
-  const PredecodedSlot* const cache = cache_;
-  const std::size_t code_halfwords = code_size_;
-  const ThreadedImage& image = prog_->threaded();
-  const std::int32_t* const block_at = image.block_at.data();
-  const SuperBlock* const blocks = image.blocks.data();
-  std::uint64_t done = 0;
-  try {
-    while (done < limit && !halted_) {
-      const std::uint32_t pc = r_[kPC];
-      if (pc == kReturnSentinel) {
-        halted_ = true;
-        break;
-      }
-      if (pc % 2 != 0) throw AlignmentFault("Cpu: odd PC", pc);
-      const std::size_t idx = pc / 2;
-      if (idx >= code_halfwords) {
-        throw BusFault("Cpu: PC outside code", pc);
-      }
-      const std::int32_t blk = block_at[idx];
-      if (blk >= 0) [[likely]] {
-        const SuperBlock& sb = blocks[blk];
-        // Enter the fused block only when the whole block fits in this
-        // chunk's budget — otherwise retire per-instruction so the
-        // budget trips at the engine-independent point.
-        if (done + sb.count <= limit) [[likely]] {
-          run_fused_block(sb);
-          done += sb.count;
-          continue;
-        }
-      }
-      const PredecodedSlot& s = cache[idx];
-      if (!s.valid) [[unlikely]] trap_undecodable(idx);
-      r_[kPC] = pc + 2u * s.halfwords;  // default fallthrough
-      exec<false>(s.ins, s.halfwords);
-      ++done;
-    }
-  } catch (Fault& f) {
-    stats_.instructions += done;
-    f.attach_state(arch_state());
-    throw;
-  } catch (...) {
-    stats_.instructions += done;
-    throw;
-  }
-  stats_.instructions += done;
-  return done;
 }
 
 }  // namespace eccm0::armvm

@@ -3,12 +3,11 @@
 // an `--engine=` flag, plus a build-configuration probe for the
 // threaded dispatcher.
 //
-// The threaded engine itself lives in dispatch.cpp: Cpu::run_threaded
-// (the chunk runner with block-head lookup and per-instruction
-// fallback) and Cpu::run_fused_block (the token-threaded superblock
-// dispatcher, instantiated from exec_fused.inc as computed-goto labels
-// on GNU/Clang and as a switch on everything else — or everywhere when
-// the ECCM0_SWITCH_DISPATCH CMake option forces the portable form).
+// The threaded engine's superblock dispatcher, Cpu::run_fused_block,
+// lives in dispatch.cpp: it runs the semantics.inc bodies between
+// computed-goto labels on GNU/Clang and as a switch on everything else
+// (or everywhere when the ECCM0_SWITCH_DISPATCH CMake option forces the
+// portable form). Its chunk loop is the predecoded one in cpu.cpp.
 #pragma once
 
 #include <string_view>

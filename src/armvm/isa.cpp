@@ -3,60 +3,13 @@
 namespace eccm0::armvm {
 
 const char* op_name(Op op) {
-  switch (op) {
-    case Op::kLslImm: case Op::kLslReg: return "lsls";
-    case Op::kLsrImm: case Op::kLsrReg: return "lsrs";
-    case Op::kAsrImm: case Op::kAsrReg: return "asrs";
-    case Op::kRorReg: return "rors";
-    case Op::kAddReg: case Op::kAddImm3: case Op::kAddImm8: return "adds";
-    case Op::kSubReg: case Op::kSubImm3: case Op::kSubImm8: return "subs";
-    case Op::kMovImm: return "movs";
-    case Op::kCmpImm: case Op::kCmpReg: case Op::kCmpHi: return "cmp";
-    case Op::kAnd: return "ands";
-    case Op::kEor: return "eors";
-    case Op::kAdc: return "adcs";
-    case Op::kSbc: return "sbcs";
-    case Op::kTst: return "tst";
-    case Op::kRsb: return "rsbs";
-    case Op::kCmn: return "cmn";
-    case Op::kOrr: return "orrs";
-    case Op::kMul: return "muls";
-    case Op::kBic: return "bics";
-    case Op::kMvn: return "mvns";
-    case Op::kAddHi: return "add";
-    case Op::kMovHi: return "mov";
-    case Op::kBx: return "bx";
-    case Op::kBlx: return "blx";
-    case Op::kLdrLit: case Op::kLdrImm: case Op::kLdrReg: case Op::kLdrSp:
-      return "ldr";
-    case Op::kStrImm: case Op::kStrReg: case Op::kStrSp: return "str";
-    case Op::kLdrbImm: case Op::kLdrbReg: return "ldrb";
-    case Op::kStrbImm: case Op::kStrbReg: return "strb";
-    case Op::kLdrhImm: case Op::kLdrhReg: return "ldrh";
-    case Op::kLdrsbReg: return "ldrsb";
-    case Op::kLdrshReg: return "ldrsh";
-    case Op::kStrhImm: case Op::kStrhReg: return "strh";
-    case Op::kAddSpImm7: case Op::kAddRdSp: return "add";
-    case Op::kSubSpImm7: return "sub";
-    case Op::kAdr: return "adr";
-    case Op::kPush: return "push";
-    case Op::kPop: return "pop";
-    case Op::kLdm: return "ldmia";
-    case Op::kStm: return "stmia";
-    case Op::kBCond: return "b<cond>";
-    case Op::kB: return "b";
-    case Op::kBl: return "bl";
-    case Op::kSxth: return "sxth";
-    case Op::kSxtb: return "sxtb";
-    case Op::kUxth: return "uxth";
-    case Op::kUxtb: return "uxtb";
-    case Op::kRev: return "rev";
-    case Op::kRev16: return "rev16";
-    case Op::kRevsh: return "revsh";
-    case Op::kNop: return "nop";
-    case Op::kBkpt: return "bkpt";
-  }
-  return "?";
+  static constexpr const char* kMnemonics[] = {
+#define ECCM0_OP_MNEMONIC(name, mnemonic, cls, cycles) mnemonic,
+      ECCM0_FOR_EACH_OP(ECCM0_OP_MNEMONIC)
+#undef ECCM0_OP_MNEMONIC
+  };
+  const auto i = static_cast<std::size_t>(op);
+  return i < kNumOps ? kMnemonics[i] : "?";
 }
 
 const char* cond_name(Cond c) {

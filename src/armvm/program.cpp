@@ -10,7 +10,7 @@ Program::Program(std::vector<std::uint16_t> code,
     : code_(std::move(code)),
       symbols_(std::move(symbols)),
       cache_(predecode(code_)),
-      threaded_(build_threaded_image(code_, cache_, symbols_)) {}
+      threaded_(build_threaded_image(cache_, symbols_)) {}
 
 std::uint32_t Program::entry(const std::string& label) const {
   const auto it = symbols_.find(label);

@@ -8,10 +8,12 @@
 // (single-halfword, non-control-flow) instructions into one `SuperBlock`.
 // The block carries everything the threaded dispatcher needs to retire
 // the whole run in one host-level call: the decoded instructions with
-// their per-instruction static cost pairs (for the fault replay path),
-// and the precomputed accounting delta of the full block — total cycles
-// plus a sparse per-class histogram delta — applied in a single step
-// instead of per instruction.
+// their static_costs() pairs (for the fault replay path), and the
+// precomputed accounting delta of the full block — total cycles plus a
+// sparse per-class histogram delta — applied in a single step instead of
+// per instruction. Nothing here restates an instruction: the dispatcher
+// runs the same semantics.inc bodies as Cpu::exec, and every cost comes
+// from the one cycle model in isa.h.
 //
 // The fusion rules are conservative so fused execution is bit-identical
 // to the per-step oracle (see tests/armvm/threaded_test.cpp):
@@ -50,16 +52,9 @@ inline constexpr std::uint32_t kMinFuseLength = 3;
 inline constexpr std::uint8_t kEndOfBlockToken =
     static_cast<std::uint8_t>(kNumOps);
 
-/// One static cost pair an instruction contributes to the histogram
-/// (LDM/STM/PUSH/POP contribute two: transfer + overhead).
-struct InstrCost {
-  costmodel::InstrClass cls{};
-  std::uint8_t cycles = 0;
-};
-
 /// One fused instruction: the decoded form plus the per-slot constants
 /// the handlers need (pc+4 for ADR/LDR-literal/hi-reg reads) and its
-/// static cost pairs, kept so a fault interior to the block can replay
+/// static_costs() pairs, kept so a fault interior to the block can replay
 /// the accounting of the instructions that retired before it.
 struct FusedInstr {
   Instr ins;
@@ -94,20 +89,22 @@ struct ThreadedImage {
   std::uint64_t valid_slots = 0;  ///< all valid instruction slots
 };
 
+/// Ops that always branch or halt, whatever their operands: never part
+/// of a fused block (one entry, one exit). The fused dispatcher compiles
+/// no body for them.
+constexpr bool always_control_flow(Op op) {
+  return op == Op::kBCond || op == Op::kB || op == Op::kBl ||
+         op == Op::kBx || op == Op::kBlx || op == Op::kBkpt;
+}
+
 /// True when this (decoded, `halfwords`-sized) instruction may be part
 /// of a fused block.
 bool fusable(const Instr& ins, unsigned halfwords);
-
-/// Static cost pairs of a fusable instruction, exactly mirroring the
-/// account() calls Cpu::exec makes for it. Returns the pair count (1 or
-/// 2). Precondition: fusable(ins, 1).
-unsigned static_costs(const Instr& ins, InstrCost out[2]);
 
 /// Run the discovery pass over a predecoded image. `symbols` contributes
 /// extra split points: every label is a potential branch target (loop
 /// heads are labels), so no block spans one.
 ThreadedImage build_threaded_image(
-    const std::vector<std::uint16_t>& code,
     const std::vector<PredecodedSlot>& cache,
     const std::map<std::string, std::uint32_t>& symbols);
 
