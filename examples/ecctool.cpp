@@ -27,7 +27,9 @@
 // `serve` runs the async batch service (src/service, wire schema
 // eccm0.req.v1 / eccm0.resp.v1 — DESIGN.md §14): kP / ECDH / ECDSA
 // workload replays and campaign jobs over a bounded MPMC queue with
-// request coalescing, until a `shutdown` request or SIGINT/SIGTERM.
+// request coalescing, until a `shutdown` request or SIGINT/SIGTERM. It
+// runs on the threaded engine unless --engine says otherwise (the other
+// subcommands default to predecode).
 // `client` sends one request to a running serve and prints the response
 // document (exit 0 on ok, 1 on a typed error); --raw sends arbitrary
 // bytes as the frame body, for protocol testing.
@@ -935,6 +937,9 @@ int run_serve(int argc, char** argv) {
   bool no_coalesce = false;
   std::string port_file;
   bench::Args args;
+  // serve defaults to the server's own engine (threaded), not the
+  // predecode default the other subcommands share.
+  args.engine = armvm::decode_mode_name(service::ServerConfig{}.engine);
   args.add_u64("--port", &port);
   args.add_u64("--listen-workers", &listen_workers);
   args.add_u64("--queue-depth", &queue_depth);

@@ -453,11 +453,10 @@ ECCM0_FLATTEN std::uint64_t Cpu::run_predecoded_impl(std::uint64_t limit) {
         // Enter a fused block only at its head and only when the whole
         // block fits in this chunk's budget — otherwise retire
         // per-instruction so the budget trips at the engine-independent
-        // point.
+        // point. The chain it starts obeys the same rule at every block.
         if (const std::int32_t b = block_at[idx]; b >= 0) [[likely]] {
-          if (done + blocks[b].count <= limit) [[likely]] {
-            run_fused_block(blocks[b]);
-            done += blocks[b].count;
+          if (blocks[b].count <= limit - done) [[likely]] {
+            done += run_fused_chain(blocks[b], limit - done);
             continue;
           }
         }
@@ -512,8 +511,9 @@ RunStats Cpu::run(std::uint64_t max_instructions) {
   // sized so that exactly max_instructions + 1 instructions can retire
   // before the budget trips — the same point at which a
   // check-every-step loop would have thrown. The threaded engine
-  // additionally never enters a fused block whose retirement count
-  // would overrun the chunk, so the trip point is engine-independent.
+  // additionally never enters or chains into a fused block whose
+  // retirement count would overrun the chunk, so the trip point is
+  // engine-independent.
   constexpr std::uint64_t kBudgetCheckInterval = 16 * 1024;
   while (!halted_) {
     const std::uint64_t executed = stats_.instructions - before.instructions;

@@ -412,7 +412,8 @@ class Cpu {
     kPerStep,    ///< reference engine: fresh decode() every instruction
     kThreaded,   ///< kPredecode plus token-threaded dispatch of fused
                  ///< basic-block superinstructions with batched
-                 ///< accounting (see armvm/superinst.h). Executes
+                 ///< accounting, chained across the branches that end
+                 ///< them (see armvm/superinst.h). Executes
                  ///< per-instruction when a TraceSink is attached, when
                  ///< the RAM is protected, when the budget would expire
                  ///< inside a block, or when the PC enters a block
@@ -566,10 +567,14 @@ class Cpu {
   /// nor see wait-states).
   template <bool kTraced, bool kProt, bool kFused>
   std::uint64_t run_predecoded_impl(std::uint64_t limit);
-  /// Retire one whole fused block (PC is at its head). On a Fault,
-  /// replays the accounting of the instructions that retired before the
-  /// faulting one and leaves the exact per-step architectural state.
-  void run_fused_block(const SuperBlock& b);
+  /// Retire the fused block `first` (PC is at its head; it fits in
+  /// `budget`), then keep chaining into the block at the new PC while
+  /// that PC is a block head and the block still fits in `budget`.
+  /// Returns the instructions retired. On a Fault, replays the
+  /// accounting of the instructions that retired before the faulting
+  /// one, adds every instruction the chain retired to the stats, and
+  /// leaves the exact per-step architectural state.
+  std::uint64_t run_fused_chain(const SuperBlock& first, std::uint64_t budget);
 
   /// The shared immutable image, plus raw views into it so the hot loop
   /// pays no shared_ptr indirection.

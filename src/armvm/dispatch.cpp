@@ -6,23 +6,30 @@
 // fused block when the PC sits on a block head and the whole block fits
 // in the remaining budget, and executes everything else — interior
 // entry after a snapshot restore, budget boundary, undecodable slot,
-// control flow, traced or protected-memory runs — per-instruction
-// through Cpu::exec.
+// control flow no block ends in (BLX, POP {pc}, writes to PC), traced or
+// protected-memory runs — per-instruction through Cpu::exec.
 //
-// Cpu::run_fused_block retires one block. It runs the instruction
-// bodies of semantics.inc — the same bodies Cpu::exec runs — against
-// block-local flag copies and a hoisted RAM view, with NO per-
-// instruction accounting: on success it applies the block's
-// precomputed cycle/histogram totals in one step; on a Fault it replays
-// the static_costs() pairs of the instructions that retired before the
-// faulting one, so the architectural state (PC, flags, stats) is
-// exactly what the per-step oracle leaves behind.
+// Cpu::run_fused_chain retires that block and every block it chains
+// into. It runs the instruction bodies of semantics.inc — the same bodies
+// Cpu::exec runs — against block-local flag copies and a hoisted RAM
+// view, with NO per-instruction accounting: on completing a block it
+// applies the block's precomputed cycle/histogram totals in one step,
+// plus the static_costs() pair of the terminator for the direction it
+// went. Then it chains: the new PC is looked up in `block_at`, and if it
+// is a block head whose block fits in what is left of the chunk budget,
+// execution continues there with the flags still in locals; otherwise
+// the chain returns to the run loop. A chain therefore never retires
+// more than the chunk allows, so the budget still trips at exactly
+// max_instructions + 1 retirements on every engine. On a Fault it
+// replays the static_costs() pairs of the current block's instructions
+// that retired before the faulting one, so the architectural state (PC,
+// flags, stats) is exactly what the per-step oracle leaves behind.
 //
 // Dispatch form: computed goto (&&label, the classic token-threading
 // idiom) through a token table generated from ECCM0_FOR_EACH_OP on
 // GNU/Clang; a switch over the same bodies otherwise or when
 // ECCM0_SWITCH_DISPATCH_ONLY is defined (CMake option
-// ECCM0_SWITCH_DISPATCH — the CI portability leg).
+// ECCM0_SWITCH_DISPATCH — the CI portability leg). Both forms chain.
 #include "armvm/dispatch.h"
 
 #include <cstddef>
@@ -64,16 +71,19 @@ bool threaded_dispatch_uses_computed_goto() {
 namespace {
 
 [[noreturn]] void bad_fused_token() {
-  throw std::logic_error("Cpu: control-flow op inside a fused block");
+  throw std::logic_error("Cpu: BLX or BKPT inside a fused block");
 }
 
 }  // namespace
 
-void Cpu::run_fused_block(const SuperBlock& blk) {
-  const FusedInstr* const code = blk.code.data();
-  const std::uint32_t count = blk.count;
+std::uint64_t Cpu::run_fused_chain(const SuperBlock& first,
+                                   std::uint64_t budget) {
+  const ThreadedImage& image = prog_->threaded();
+  const std::int32_t* const block_at = image.block_at.data();
+  const SuperBlock* const blocks = image.blocks.data();
+  const std::size_t code_halfwords = code_size_;
   std::uint32_t* const r = r_;
-  // The RAM view is hoisted into locals for the whole block. Inside
+  // The RAM view is hoisted into locals for the whole chain. Inside
   // Memory's own fast path every byte store forces the compiler to
   // reload the vector's data pointer and size (a std::uint8_t store may
   // legally alias anything, including the vector's bookkeeping); these
@@ -111,7 +121,7 @@ void Cpu::run_fused_block(const SuperBlock& blk) {
     }
     write_mem<false>(addr, v, nbytes);
   };
-  // Flags live in locals for the whole block; written back on every
+  // Flags live in locals for the whole chain; written back on every
   // exit path (handlers never touch n_/z_/c_/v_ directly).
   bool ln = n_, lz = z_, lc = c_, lv = v_;
   const auto set_nzl = [&](std::uint32_t v) {
@@ -121,10 +131,41 @@ void Cpu::run_fused_block(const SuperBlock& blk) {
   const auto adcl = [&](std::uint32_t a, std::uint32_t b, bool cin) {
     return add_with_carry(a, b, cin, ln, lz, lc, lv);
   };
-  // Ops that always branch get no body below; the operand-dependent
-  // branches (hi-register writes to PC, POP {..., pc}) are never fused
-  // either (superinst.h).
-  const auto branch_to = [](std::uint32_t) { bad_fused_token(); };
+  // Only a block's last instruction branches (superinst.h): the branch
+  // is recorded here and takes effect when the block completes.
+  bool taken = false;
+  std::uint32_t target = 0;
+  const auto branch_to = [&](std::uint32_t t) {
+    taken = true;
+    target = t;
+  };
+  const SuperBlock* blk = &first;
+  std::uint64_t retired = 0;  // instructions of the completed blocks
+  std::uint64_t entered = 0;  // completed blocks
+  // Account the block just completed, then pick the block to chain into
+  // (nullptr: back to the run loop, with the PC written back).
+  const auto next_block = [&]() -> const SuperBlock* {
+    stats_.cycles += blk->cycles;
+    for (const auto& [cls, cyc] : blk->hist) stats_.histogram.add(cls, cyc);
+    const InstrCost exit = blk->exit_cost[taken];
+    stats_.cycles += exit.cycles;
+    stats_.histogram.add(exit.cls, exit.cycles);
+    retired += blk->count;
+    ++entered;
+    std::uint32_t pc = blk->end_pc;
+    if (taken) {
+      taken = false;
+      if (target == kReturnSentinel) halted_ = true;
+      pc = target & ~1u;
+    }
+    const std::size_t idx = pc / 2;  // the return sentinel is past all code
+    if (idx < code_halfwords) {
+      const std::int32_t b = block_at[idx];
+      if (b >= 0 && blocks[b].count <= budget - retired) return &blocks[b];
+    }
+    r_[kPC] = pc;
+    return nullptr;
+  };
 #if ECCM0_USE_COMPUTED_GOTO
   // The block cursor is the dispatcher's only loop variable: each
   // handler bumps it and jumps through the token table, and the
@@ -132,7 +173,7 @@ void Cpu::run_fused_block(const SuperBlock& blk) {
   // jumps straight to the block-exit label, so there is no count
   // compare after every instruction. Declared outside the try so the
   // fault path can recover the retired-instruction index from it.
-  const FusedInstr* fp = code;
+  const FusedInstr* fp = blk->code.data();
 #else
   std::uint32_t j = 0;
 #endif
@@ -148,11 +189,13 @@ void Cpu::run_fused_block(const SuperBlock& blk) {
 #undef ECCM0_TOKEN_ENTRY
         &&block_done,
     };
+  enter_block:
+    fp = blk->code.data();
     goto* token_targets[static_cast<std::size_t>(fp->ins.op)];
 
 #define ECCM0_OP(name)                                 \
   handler_##name:                                      \
-  if constexpr (always_control_flow(Op::k##name)) {    \
+  if constexpr (never_fused(Op::k##name)) {            \
     bad_fused_token();                                 \
   } else {                                             \
     [[maybe_unused]] const Instr& I = fp->ins;         \
@@ -164,14 +207,19 @@ void Cpu::run_fused_block(const SuperBlock& blk) {
 #include "armvm/semantics.inc"
 #undef ECCM0_OP
 #undef ECCM0_OP_END
-  block_done:;
+  block_done:
+    blk = next_block();
+    if (blk != nullptr) goto enter_block;
 #else
-    for (; j < count; ++j) {
-      const FusedInstr* const fp = code + j;
-      switch (fp->ins.op) {
+    while (blk != nullptr) {
+      const FusedInstr* const code = blk->code.data();
+      const std::uint32_t count = blk->count;
+      for (j = 0; j < count; ++j) {
+        const FusedInstr* const fp = code + j;
+        switch (fp->ins.op) {
 #define ECCM0_OP(name)                                 \
   case Op::k##name:                                    \
-  if constexpr (always_control_flow(Op::k##name)) {    \
+  if constexpr (never_fused(Op::k##name)) {            \
     bad_fused_token();                                 \
   } else {                                             \
     [[maybe_unused]] const Instr& I = fp->ins;         \
@@ -182,15 +230,20 @@ void Cpu::run_fused_block(const SuperBlock& blk) {
 #include "armvm/semantics.inc"
 #undef ECCM0_OP
 #undef ECCM0_OP_END
+        }
       }
+      blk = next_block();
     }
 #endif
   } catch (...) {
-    // Fault at fused instruction j: replay the static costs of the
+    // Fault at instruction j of the current block (never its
+    // terminator, which cannot fault): replay the static costs of the
     // instructions that retired before it (the faulting one contributes
     // nothing — exec() accounts after its memory accesses), sync the
     // flags, and leave the PC at the faulting instruction's
     // fallthrough, exactly as the per-step loop does before exec().
+    // The completed blocks of the chain are already accounted.
+    const FusedInstr* const code = blk->code.data();
 #if ECCM0_USE_COMPUTED_GOTO
     const auto j = static_cast<std::uint32_t>(fp - code);
 #endif
@@ -204,8 +257,9 @@ void Cpu::run_fused_block(const SuperBlock& blk) {
         stats_.cycles += code[k].costs[c].cycles;
       }
     }
-    stats_.instructions += j;
-    fused_retired_ += j;
+    stats_.instructions += retired + j;
+    fused_retired_ += retired + j;
+    fused_blocks_entered_ += entered;
     r_[kPC] = code[j].pc4 - 2;
     throw;
   }
@@ -213,11 +267,9 @@ void Cpu::run_fused_block(const SuperBlock& blk) {
   z_ = lz;
   c_ = lc;
   v_ = lv;
-  r_[kPC] = blk.end_pc;
-  stats_.cycles += blk.cycles;
-  for (const auto& [cls, cyc] : blk.hist) stats_.histogram.add(cls, cyc);
-  fused_retired_ += count;
-  ++fused_blocks_entered_;
+  fused_retired_ += retired;
+  fused_blocks_entered_ += entered;
+  return retired;
 }
 
 }  // namespace eccm0::armvm

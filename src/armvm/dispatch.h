@@ -3,7 +3,7 @@
 // an `--engine=` flag, plus a build-configuration probe for the
 // threaded dispatcher.
 //
-// The threaded engine's superblock dispatcher, Cpu::run_fused_block,
+// The threaded engine's superblock dispatcher, Cpu::run_fused_chain,
 // lives in dispatch.cpp: it runs the semantics.inc bodies between
 // computed-goto labels on GNU/Clang and as a switch on everything else
 // (or everywhere when the ECCM0_SWITCH_DISPATCH CMake option forces the

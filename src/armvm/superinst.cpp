@@ -5,9 +5,17 @@ namespace eccm0::armvm {
 using costmodel::InstrClass;
 
 bool fusable(const Instr& ins, unsigned halfwords) {
-  if (halfwords != 1) return false;  // BL pairs never fuse
-  if (always_control_flow(ins.op)) return false;
+  if (halfwords != 1) return false;  // a BL pair only ever terminates
   switch (ins.op) {
+    // Control flow: a terminator may only close a block (is_terminator),
+    // and BLX / BKPT / BX PC never fuse.
+    case Op::kB:
+    case Op::kBCond:
+    case Op::kBl:
+    case Op::kBx:
+    case Op::kBlx:
+    case Op::kBkpt:
+      return false;
     // Hi-register forms may write PC (branch) or read the raw PC
     // register, which is stale inside a fused block. rm = PC reads the
     // architectural pc+4, which is a per-slot constant and fuses fine.
@@ -67,46 +75,67 @@ ThreadedImage build_threaded_image(
       ++idx;
       continue;
     }
-    if (!fusable(cache[idx].ins, cache[idx].halfwords)) {
+    if (!fusable(cache[idx].ins, cache[idx].halfwords) &&
+        !is_terminator(cache[idx].ins)) {
       idx += cache[idx].halfwords;
       continue;
     }
     // Maximal fusable run: extend while the next slot fuses and is not a
     // branch target / label (the run head itself may be one — that is
-    // how a fused loop body gets re-entered every iteration).
+    // how a fused loop body gets re-entered every iteration), and close
+    // it with a terminator that follows under the same rule.
     std::size_t j = idx;
-    while (j < n && cache[j].valid && cache[j].halfwords == 1 &&
-           fusable(cache[j].ins, 1) && (j == idx || !split[j])) {
+    bool terminated = false;
+    while (j < n && cache[j].valid && (j == idx || !split[j])) {
+      if (is_terminator(cache[j].ins)) {
+        j += cache[j].halfwords;
+        terminated = true;
+        break;
+      }
+      if (!fusable(cache[j].ins, cache[j].halfwords)) break;
       ++j;
     }
-    const auto count = static_cast<std::uint32_t>(j - idx);
-    if (count >= kMinFuseLength) {
+    std::vector<FusedInstr> code;
+    for (std::size_t k = idx; k < j; k += cache[k].halfwords) {
+      FusedInstr f;
+      f.ins = cache[k].ins;
+      f.pc4 = static_cast<std::uint32_t>(2 * k + 4);
+      f.num_costs =
+          static_cast<std::uint8_t>(static_costs(f.ins, false, f.costs));
+      code.push_back(f);
+    }
+    const auto count = static_cast<std::uint32_t>(code.size());
+    if (terminated || count >= kMinFuseLength) {
       SuperBlock b;
       b.head_idx = static_cast<std::uint32_t>(idx);
       b.count = count;
       b.end_pc = static_cast<std::uint32_t>(2 * j);
       std::uint64_t by_class[static_cast<int>(InstrClass::kCount)] = {};
-      b.code.reserve(count + 1);
-      for (std::size_t k = idx; k < j; ++k) {
-        FusedInstr f;
-        f.ins = cache[k].ins;
-        f.pc4 = static_cast<std::uint32_t>(2 * k + 4);
-        f.num_costs =
-            static_cast<std::uint8_t>(static_costs(f.ins, false, f.costs));
-        for (unsigned c = 0; c < f.num_costs; ++c) {
-          by_class[static_cast<int>(f.costs[c].cls)] += f.costs[c].cycles;
-          b.cycles += f.costs[c].cycles;
+      const std::uint32_t body = terminated ? count - 1 : count;
+      for (std::uint32_t k = 0; k < body; ++k) {
+        for (unsigned c = 0; c < code[k].num_costs; ++c) {
+          by_class[static_cast<int>(code[k].costs[c].cls)] +=
+              code[k].costs[c].cycles;
+          b.cycles += code[k].costs[c].cycles;
         }
-        b.code.push_back(f);
       }
-      FusedInstr endf{};
-      endf.ins.op = static_cast<Op>(kEndOfBlockToken);
-      b.code.push_back(endf);
+      if (terminated) {
+        // Every terminator charges exactly one cost pair.
+        for (const bool taken : {false, true}) {
+          InstrCost c[2];
+          static_costs(code.back().ins, taken, c);
+          b.exit_cost[taken] = c[0];
+        }
+      }
       for (int c = 0; c < static_cast<int>(InstrClass::kCount); ++c) {
         if (by_class[c] != 0) {
           b.hist.emplace_back(static_cast<InstrClass>(c), by_class[c]);
         }
       }
+      FusedInstr endf{};
+      endf.ins.op = static_cast<Op>(kEndOfBlockToken);
+      code.push_back(endf);
+      b.code = std::move(code);
       img.block_at[idx] = static_cast<std::int32_t>(img.blocks.size());
       img.fused_slots += count;
       img.blocks.push_back(std::move(b));
@@ -118,7 +147,7 @@ ThreadedImage build_threaded_image(
 
 bool is_block_interior(const ThreadedImage& image, std::size_t idx) {
   for (const SuperBlock& b : image.blocks) {
-    if (idx > b.head_idx && idx < b.head_idx + b.count) return true;
+    if (idx > b.head_idx && 2 * idx < b.end_pc) return true;
   }
   return false;
 }

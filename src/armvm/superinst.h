@@ -5,27 +5,37 @@
 // basic-block discovery pass walks the predecoded slots once, splits the
 // instruction stream at every symbol address and every static branch
 // target, and fuses each remaining maximal straight-line run of simple
-// (single-halfword, non-control-flow) instructions into one `SuperBlock`.
-// The block carries everything the threaded dispatcher needs to retire
-// the whole run in one host-level call: the decoded instructions with
-// their static_costs() pairs (for the fault replay path), and the
-// precomputed accounting delta of the full block — total cycles plus a
-// sparse per-class histogram delta — applied in a single step instead of
-// per instruction. Nothing here restates an instruction: the dispatcher
-// runs the same semantics.inc bodies as Cpu::exec, and every cost comes
-// from the one cycle model in isa.h.
+// instructions — closed by the branch that ends it, when one does — into
+// one `SuperBlock`. The block carries everything the threaded dispatcher
+// needs to retire the whole run in one host-level call: the decoded
+// instructions with their static_costs() pairs (for the fault replay
+// path), the precomputed accounting delta of the body — total cycles plus
+// a sparse per-class histogram delta — applied in a single step instead
+// of per instruction, and the terminator's static_costs() for both
+// directions. Nothing here restates an instruction: the dispatcher runs
+// the same semantics.inc bodies as Cpu::exec, and every cost comes from
+// the one cycle model in isa.h.
 //
 // The fusion rules are conservative so fused execution is bit-identical
 // to the per-step oracle (see tests/armvm/threaded_test.cpp):
-//   - only valid, 1-halfword slots fuse (BL pairs and data words never do);
-//   - no control flow (B/BCond/BL/BX/BLX/BKPT, POP with PC, hi-reg ops
-//     writing PC) — a fused block has exactly one entry and one exit;
+//   - a block's body is valid 1-halfword slots with no control flow (no
+//     B/BCond/BL/BX/BLX/BKPT, POP with PC, hi-reg ops writing PC);
+//   - a block may end in one terminator — B, B<cond>, BL (the only
+//     2-halfword slot that fuses) or BX — which retires inside the block;
+//     its cost is charged on exit from static_costs(ins, taken);
 //   - no instruction that reads the raw PC register outside the
 //     architectural pc+4 forms the block can precompute (CMP involving
-//     PC is excluded; ADR/LDR-literal/ADD-hi/MOV-hi with rm=PC fuse,
-//     because their pc+4 is a per-slot constant);
-//   - runs shorter than `kMinFuseLength` stay per-instruction (the
-//     dispatch overhead saved would not cover the block-entry checks).
+//     PC and BX PC are excluded; ADR/LDR-literal/ADD-hi/MOV-hi with
+//     rm=PC fuse, because their pc+4 is a per-slot constant, and BL's
+//     return address is its pc+4);
+//   - a run ending in a terminator fuses whatever its length; a run with
+//     no terminator shorter than `kMinFuseLength` stays per-instruction
+//     (the dispatch overhead saved would not cover the block-entry
+//     checks).
+// After a terminator the dispatcher chains straight into the block at
+// the new PC when that PC is a block head and the block fits the chunk
+// budget (dispatch.cpp), so a loop runs block to block without returning
+// to the run loop.
 #pragma once
 
 #include <cstdint>
@@ -39,8 +49,8 @@
 
 namespace eccm0::armvm {
 
-/// Minimum number of instructions a straight-line run must have to be
-/// worth fusing into a SuperBlock.
+/// Minimum number of instructions a straight-line run with no terminator
+/// must have to be worth fusing into a SuperBlock.
 inline constexpr std::uint32_t kMinFuseLength = 3;
 
 /// Token byte of the terminator entry appended after the last real
@@ -63,15 +73,21 @@ struct FusedInstr {
   InstrCost costs[2];
 };
 
-/// A maximal fused straight-line run.
+/// A maximal fused straight-line run, with the terminator that ends it
+/// (if any) as its last instruction.
 struct SuperBlock {
   std::uint32_t head_idx = 0;  ///< halfword index of the first instruction
-  std::uint32_t count = 0;     ///< fused instructions (all 1 halfword)
-  std::uint32_t end_pc = 0;    ///< byte PC after the last instruction
-  std::uint64_t cycles = 0;    ///< total cycle cost of the whole block
-  /// Sparse histogram delta of the whole block (class, cycles) — applied
-  /// in one step on block completion.
+  std::uint32_t count = 0;     ///< fused instructions, terminator included
+  /// Byte PC after the last instruction (past both halfwords of a BL):
+  /// where execution continues unless the terminator branches.
+  std::uint32_t end_pc = 0;
+  std::uint64_t cycles = 0;  ///< cycle cost of the body (terminator excluded)
+  /// Sparse histogram delta of the body (class, cycles) — applied in one
+  /// step on block completion.
   std::vector<std::pair<costmodel::InstrClass, std::uint64_t>> hist;
+  /// The terminator's static_costs() pair, indexed by whether it branched
+  /// (a B, BL or BX always does); zero cycles when the block has none.
+  InstrCost exit_cost[2] = {};
   /// `count` fused instructions followed by one terminator entry whose
   /// op byte is kEndOfBlockToken (so code.size() == count + 1).
   std::vector<FusedInstr> code;
@@ -89,16 +105,22 @@ struct ThreadedImage {
   std::uint64_t valid_slots = 0;  ///< all valid instruction slots
 };
 
-/// Ops that always branch or halt, whatever their operands: never part
-/// of a fused block (one entry, one exit). The fused dispatcher compiles
-/// no body for them.
-constexpr bool always_control_flow(Op op) {
-  return op == Op::kBCond || op == Op::kB || op == Op::kBl ||
-         op == Op::kBx || op == Op::kBlx || op == Op::kBkpt;
+/// Ops that are never part of a fused block, whatever their operands:
+/// BLX (a call through a register) and BKPT (a halt). The fused
+/// dispatcher compiles no body for them.
+constexpr bool never_fused(Op op) {
+  return op == Op::kBlx || op == Op::kBkpt;
+}
+
+/// True when `ins` may end a fused block: B, B<cond>, BL, or BX from any
+/// register but PC (which would read the raw PC register).
+constexpr bool is_terminator(const Instr& ins) {
+  return ins.op == Op::kB || ins.op == Op::kBCond || ins.op == Op::kBl ||
+         (ins.op == Op::kBx && ins.rm != kPC);
 }
 
 /// True when this (decoded, `halfwords`-sized) instruction may be part
-/// of a fused block.
+/// of a fused block's body (any slot before its terminator).
 bool fusable(const Instr& ins, unsigned halfwords);
 
 /// Run the discovery pass over a predecoded image. `symbols` contributes
@@ -109,7 +131,8 @@ ThreadedImage build_threaded_image(
     const std::map<std::string, std::uint32_t>& symbols);
 
 /// True when halfword `idx` lies strictly inside a fused block (not at
-/// its head). Test helper for the mid-block snapshot/fault coverage.
+/// its head; the low halfword of a closing BL counts as inside). Test
+/// helper for the mid-block snapshot/fault coverage.
 bool is_block_interior(const ThreadedImage& image, std::size_t idx);
 
 }  // namespace eccm0::armvm

@@ -38,6 +38,7 @@ void Client::connect_to(std::uint16_t port) {
                              std::to_string(port) + ": " +
                              std::strerror(err));
   }
+  wire::set_nodelay(fd_);
 }
 
 telemetry::Json Client::read_response() {

@@ -404,6 +404,7 @@ void Server::accept_loop() {
       if (errno == EINTR) continue;
       return;  // listen socket closed (stop()) or fatal
     }
+    wire::set_nodelay(fd);
     auto conn = std::make_shared<Connection>(fd);
     std::lock_guard<std::mutex> lock(sessions_mu_);
     if (!running_.load(std::memory_order_acquire)) return;
@@ -455,10 +456,12 @@ void Server::session_loop(std::shared_ptr<Connection> conn) {
       continue;
     }
     if (req.op == "shutdown") {
+      // Request the stop before answering, so a client that has the
+      // answer can rely on stop_requested().
+      stop_requested_.store(true, std::memory_order_release);
       telemetry::Json p = telemetry::Json::object();
       p.set("stopping", telemetry::Json::boolean(true));
       conn->send(wire::make_response(req.id, req.op, std::move(p)));
-      stop_requested_.store(true, std::memory_order_release);
       continue;
     }
     if (!is_known_op(req.op)) {
@@ -609,9 +612,11 @@ telemetry::Json Server::handle(WorkerState& state, const Job& job) {
 
 void Server::finish(const Job& job, const telemetry::Json& response,
                     bool ok) {
-  job.conn->send(response);
+  // Count before answering: a client's next `stats` must see the
+  // request its previous response answered.
   metrics_->counter("serve.requests").add(1);
   if (!ok) metrics_->counter("serve.errors").add(1);
+  job.conn->send(response);
   metrics_->record("serve." + job.req.op + ".latency_ns",
                    telemetry::Unit::kNanos, now_ns() - job.enqueue_ns);
 }
@@ -657,6 +662,8 @@ void Server::worker_loop(unsigned worker) {
         ok = false;
         err = e;
       }
+      // Counted before the group is answered, like serve.requests.
+      if (group.size() > 1) coalesced.add(group.size() - 1);
       for (std::size_t j : group) {
         const telemetry::Json response =
             ok ? wire::make_response(batch[j].req.id, batch[j].req.op,
@@ -666,7 +673,6 @@ void Server::worker_loop(unsigned worker) {
         finish(batch[j], response, ok);
         done[j] = true;
       }
-      if (group.size() > 1) coalesced.add(group.size() - 1);
     }
   }
 }

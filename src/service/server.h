@@ -16,7 +16,9 @@
 //          with a private workloads::ReplayImages shard (the registry
 //          mutex is off the request hot path) and a coalescing drain:
 //          identical concurrent workload requests are computed once
-//          and every requester gets the byte-identical payload.
+//          and every requester gets the byte-identical payload. Every
+//          VM run uses ServerConfig::engine — the threaded engine
+//          unless configured otherwise.
 //
 // Identity contract: every served payload is built by the same
 // payload builders (workload_payload, campaign_payload, ...) a direct
@@ -57,7 +59,9 @@ struct ServerConfig {
   /// std::invalid_argument rather than wedging every client.
   std::size_t queue_depth = 64;
   /// Execution engine / memory model for every VM run the server does.
-  armvm::Cpu::DecodeMode engine = armvm::Cpu::DecodeMode::kPredecode;
+  /// Threaded by default: bit-identical to the other engines and the
+  /// fastest of them (armvm/dispatch.cpp).
+  armvm::Cpu::DecodeMode engine = armvm::Cpu::DecodeMode::kThreaded;
   armvm::MemModelConfig mem_model{};
   /// Coalesce identical concurrent workload requests into one run.
   bool coalesce = true;

@@ -1,5 +1,7 @@
 #include "service/wire.h"
 
+#include <netinet/in.h>
+#include <netinet/tcp.h>
 #include <sys/socket.h>
 #include <unistd.h>
 
@@ -169,14 +171,20 @@ bool read_frame(int fd, std::string& body, bool* bad_frame) {
 
 bool write_frame(int fd, const std::string& body) {
   if (body.empty() || body.size() > kMaxFrameBytes) return false;
+  // Prefix and body go out in one send: two small writes would let Nagle
+  // hold the body back until the peer's delayed ACK of the prefix.
   const std::uint32_t len = static_cast<std::uint32_t>(body.size());
-  const std::uint8_t prefix[4] = {
-      static_cast<std::uint8_t>(len & 0xFF),
-      static_cast<std::uint8_t>(len >> 8 & 0xFF),
-      static_cast<std::uint8_t>(len >> 16 & 0xFF),
-      static_cast<std::uint8_t>(len >> 24 & 0xFF)};
-  if (!write_exact(fd, prefix, sizeof(prefix))) return false;
-  return write_exact(fd, body.data(), body.size());
+  std::string frame(4 + body.size(), '\0');
+  for (unsigned i = 0; i < 4; ++i) {
+    frame[i] = static_cast<char>(len >> (8 * i) & 0xFF);
+  }
+  std::memcpy(frame.data() + 4, body.data(), body.size());
+  return write_exact(fd, frame.data(), frame.size());
+}
+
+void set_nodelay(int fd) {
+  const int one = 1;
+  ::setsockopt(fd, IPPROTO_TCP, TCP_NODELAY, &one, sizeof(one));
 }
 
 }  // namespace eccm0::service::wire

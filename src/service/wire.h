@@ -88,7 +88,12 @@ telemetry::Json make_error(std::uint64_t id, const std::string& op,
 /// (`*bad_frame` distinguishes the last case when non-null).
 bool read_frame(int fd, std::string& body, bool* bad_frame = nullptr);
 
-/// Write one length-prefixed frame. False on transport error.
+/// Write one length-prefixed frame (prefix and body in a single send).
+/// False on transport error.
 bool write_frame(int fd, const std::string& body);
+
+/// Set TCP_NODELAY on a connected socket: every frame is one complete
+/// message, so there is nothing for Nagle's algorithm to coalesce.
+void set_nodelay(int fd);
 
 }  // namespace eccm0::service::wire

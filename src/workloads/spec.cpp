@@ -265,6 +265,9 @@ ReplayResult replay(const WorkloadSpec& spec, const ReplayImages& images,
   r.stats.histogram += inv.cpu().stats().histogram;
   r.fused_retired = mul.cpu().fused_retired() + sqr.cpu().fused_retired() +
                     inv.cpu().fused_retired();
+  r.fused_blocks = mul.cpu().fused_blocks_entered() +
+                   sqr.cpu().fused_blocks_entered() +
+                   inv.cpu().fused_blocks_entered();
   for (unsigned w = 0; w < out_words; ++w) {
     mix64(r.output_digest,
           mul.mem().load32(armvm::kRamBase + mul_out_off + 4 * w));

@@ -108,6 +108,7 @@ struct ReplayResult {
   armvm::RunStats stats;
   std::uint64_t output_digest = 0;
   std::uint64_t fused_retired = 0;
+  std::uint64_t fused_blocks = 0;  ///< fused blocks the threaded engine ran
 };
 
 /// A spec's three kernel images, pre-resolved from the KernelRegistry.

@@ -4,8 +4,10 @@
 // the same instruction stream — identical cycle counts, histograms,
 // energy, registers, RAM and (traced) rich event streams — and agree
 // bit-for-bit on the awkward paths: snapshot/restore into the middle of
-// a fused block, a fault at a retirement index interior to a
-// superinstruction, and the instruction-budget trip point.
+// a fused block or of a chain of them, a fault at a retirement index
+// interior to a superinstruction (also deep in a chain), and the
+// instruction-budget trip point (swept over every budget of a chained
+// loop kernel).
 #include <gtest/gtest.h>
 
 #include <array>
@@ -477,35 +479,254 @@ TEST(Threaded, InstructionBudgetTripsIdenticallyMidBlock) {
   }
 }
 
+TEST(Threaded, BudgetSweepAcrossChainIdenticalToPerStep) {
+  // Every budget from 0 to one past a whole p192-mont call: the loop
+  // kernel runs as chains of branch-terminated blocks, so most trip
+  // points fall inside a chain — some mid-block, some right after a
+  // terminator. The threaded engine never chains into a block that
+  // would overrun the budget, so each BudgetFault state (and the
+  // completed run past the end) must equal the per-step engine's.
+  const ProgramRef prog = workloads::kernel("p192-mont");
+  const auto run = [&](Cpu::DecodeMode mode, std::uint64_t budget,
+                       ArchState& fault_state) {
+    KernelMachine m(prog, mode);
+    load_operands("p192-mont", m.mem());
+    bool faulted = false;
+    try {
+      m.cpu().call(prog->entry("entry"), {}, budget);
+    } catch (const BudgetFault& f) {
+      EXPECT_TRUE(f.has_state());
+      fault_state = f.state();
+      faulted = true;
+    }
+    return std::make_pair(faulted, observe(m));
+  };
+  ArchState unused;
+  const std::uint64_t total =
+      run(Cpu::DecodeMode::kPerStep, 100'000'000, unused)
+          .second.stats.instructions;
+  ASSERT_GT(total, 1000u);
+  {
+    KernelMachine m(prog, Cpu::DecodeMode::kThreaded);
+    load_operands("p192-mont", m.mem());
+    m.call();
+    ASSERT_GT(m.cpu().fused_blocks_entered(), 100u)
+        << "test premise: the call must chain many short blocks";
+  }
+  for (std::uint64_t budget = 0; budget <= total; ++budget) {
+    ArchState ref_state, thr_state;
+    const auto [ref_faulted, ref] =
+        run(Cpu::DecodeMode::kPerStep, budget, ref_state);
+    const auto [thr_faulted, thr] =
+        run(Cpu::DecodeMode::kThreaded, budget, thr_state);
+    SCOPED_TRACE("budget " + std::to_string(budget));
+    // The (budget+1)-th retirement trips it unless that one halts.
+    ASSERT_EQ(ref_faulted, budget + 1 < total);
+    ASSERT_EQ(thr_faulted, ref_faulted);
+    if (ref_faulted) {
+      ASSERT_EQ(ref.stats.instructions, budget + 1);
+      ASSERT_EQ(thr_state, ref_state);
+    }
+    ASSERT_EQ(thr.stats.instructions, ref.stats.instructions);
+    ASSERT_EQ(thr.stats.cycles, ref.stats.cycles);
+    for (int i = 0; i < static_cast<int>(costmodel::InstrClass::kCount);
+         ++i) {
+      ASSERT_EQ(thr.stats.histogram.cycles[i], ref.stats.histogram.cycles[i]);
+    }
+    ASSERT_EQ(thr.regs, ref.regs);
+    ASSERT_EQ(thr.flags, ref.flags);
+    ASSERT_EQ(thr.ram, ref.ram);
+  }
+}
+
+TEST(Threaded, FaultInsideChainedBlockIdentical) {
+  // The prologue block ends in `b loop`; the loop body is one block that
+  // branches back to itself. The pointer starts `lead` words below the
+  // end of RAM, so the STR of the (lead+1)-th loop block faults: with
+  // lead = 0 that is the second block of the chain. The blocks before it
+  // completed (and were accounted) inside the same chain, so the fault
+  // path must add those to the stats as well as replaying the partial
+  // block.
+  for (const std::uint32_t lead : {0u, 1u, 3u}) {
+    SCOPED_TRACE("lead " + std::to_string(lead));
+    const std::uint32_t start =
+        kRamBase + static_cast<std::uint32_t>(kRamSize) - 4 * lead;
+    const ProgramRef prog = assemble(R"(
+entry:
+    movs r0, #0
+    ldr r3, =)" + std::to_string(start) + R"(
+    b loop
+    nop
+loop:
+    adds r0, r0, #1
+    str r0, [r3]
+    adds r3, #4
+    b loop
+)");
+    const ThreadedImage& image = prog->threaded();
+    const std::int32_t head = image.block_at[prog->entry("entry") / 2];
+    const std::int32_t body = image.block_at[prog->entry("loop") / 2];
+    ASSERT_TRUE(head >= 0 && body >= 0)
+        << "test premise: prologue and loop body are both fused blocks";
+    EXPECT_EQ(image.blocks[head].code[2].ins.op, Op::kB);
+    EXPECT_EQ(image.blocks[body].code[3].ins.op, Op::kB);
+    ASSERT_TRUE(is_block_interior(image, prog->entry("loop") / 2 + 1));
+
+    std::vector<std::tuple<std::string, std::uint32_t, ArchState>> faults;
+    std::vector<RunStats> stats;
+    for (const Cpu::DecodeMode mode : kAllModes) {
+      Memory mem(kRamSize);
+      Cpu cpu(prog, mem, mode);
+      try {
+        cpu.call(prog->entry("entry"), {});
+        ADD_FAILURE() << "no fault raised";
+      } catch (const BusFault& f) {
+        EXPECT_TRUE(f.has_state());
+        faults.emplace_back(f.message(), f.address(), f.state());
+      }
+      stats.push_back(cpu.stats());
+      if (mode == Cpu::DecodeMode::kThreaded) {
+        // Prologue plus `lead` loop blocks completed, then 1 ADDS of the
+        // faulting block retired — all inside fused blocks.
+        EXPECT_EQ(cpu.fused_blocks_entered(), 1u + lead);
+        EXPECT_EQ(cpu.fused_retired(), 3u + 4u * lead + 1u);
+      }
+    }
+    ASSERT_EQ(faults.size(), 3u);
+    for (std::size_t e = 1; e < faults.size(); ++e) {
+      SCOPED_TRACE("engine#" + std::to_string(e));
+      EXPECT_EQ(std::get<0>(faults[0]), std::get<0>(faults[e]));
+      EXPECT_EQ(std::get<1>(faults[0]), std::get<1>(faults[e]));
+      EXPECT_EQ(std::get<2>(faults[0]), std::get<2>(faults[e]));
+      expect_stats_identical(stats[0], stats[e]);
+    }
+    EXPECT_EQ(std::get<1>(faults[0]), start + 4 * lead);
+    EXPECT_EQ(std::get<2>(faults[0]).instructions, 3u + 4u * lead + 1u);
+    EXPECT_EQ(std::get<2>(faults[0]).r[0], lead + 1);
+  }
+}
+
+TEST(Threaded, SnapshotRestoredMidChainResumesIdentically) {
+  // Checkpoints taken inside a p256-mont call, where the threaded engine
+  // would be running a chain of branch-terminated loop blocks: once at a
+  // PC interior to such a block, once at a block head reached by a
+  // taken terminator. Every engine resumes from each to the same end
+  // state.
+  const ProgramRef prog = workloads::kernel("p256-mont");
+  const ThreadedImage& image = prog->threaded();
+  Memory scout_mem(kRamSize);
+  load_operands("p256-mont", scout_mem);
+  Cpu scout(prog, scout_mem, Cpu::DecodeMode::kPerStep);
+  scout.set_reg(kLR, kReturnSentinel);
+  scout.set_reg(kPC, prog->entry("entry"));
+  const auto ends_in_terminator = [&](std::size_t idx) {
+    for (const SuperBlock& b : image.blocks) {
+      if (idx >= b.head_idx && 2 * idx < b.end_pc) {
+        return is_terminator(b.code[b.count - 1].ins);
+      }
+    }
+    return false;
+  };
+  std::vector<MachineSnapshot> snaps;
+  bool want_interior = true;
+  std::uint32_t prev_pc = scout.reg(kPC);
+  while (scout.step() && snaps.size() < 2) {
+    const std::uint32_t pc = scout.reg(kPC);
+    const std::size_t idx = pc / 2;
+    if (scout.stats().instructions < 2000 || idx >= image.block_at.size()) {
+      prev_pc = pc;
+      continue;
+    }
+    const bool branched = pc != prev_pc + 2 && pc != prev_pc + 4;
+    if (want_interior ? is_block_interior(image, idx) && ends_in_terminator(idx)
+                      : image.block_at[idx] >= 0 && branched) {
+      snaps.push_back(scout.snapshot());
+      want_interior = false;
+    }
+    prev_pc = pc;
+  }
+  ASSERT_EQ(snaps.size(), 2u);
+  for (const MachineSnapshot& snap : snaps) {
+    SCOPED_TRACE("snapshot at pc " + std::to_string(snap.arch.r[kPC]));
+    std::vector<Observed> results;
+    for (const Cpu::DecodeMode mode : kAllModes) {
+      KernelMachine m(prog, mode);
+      m.cpu().restore(snap);
+      const RunStats delta = m.cpu().run();
+      EXPECT_GT(delta.instructions, 0u);
+      if (mode == Cpu::DecodeMode::kThreaded) {
+        EXPECT_GT(m.cpu().fused_blocks_entered(), 1u);
+      }
+      results.push_back(observe(m));
+    }
+    for (std::size_t e = 1; e < results.size(); ++e) {
+      SCOPED_TRACE("engine#" + std::to_string(e));
+      expect_stats_identical(results[0].stats, results[e].stats);
+      EXPECT_EQ(results[0].regs, results[e].regs);
+      EXPECT_EQ(results[0].flags, results[e].flags);
+      EXPECT_EQ(results[0].ram, results[e].ram);
+    }
+  }
+}
+
 TEST(Threaded, FusionDiscoveryInvariants) {
-  for (const std::string name : {"mul", "sqr", "inv", "reduce"}) {
+  for (const std::string name :
+       {"mul", "sqr", "inv", "reduce", "p256-mont", "p192-inv", "p256-redc"}) {
     const ProgramRef prog = workloads::kernel(name);
     const ThreadedImage& image = prog->threaded();
     SCOPED_TRACE(name);
     ASSERT_FALSE(image.blocks.empty());
     EXPECT_GT(image.valid_slots, 0u);
     EXPECT_LE(image.fused_slots, image.valid_slots);
+    std::uint64_t terminated_blocks = 0;
     for (std::size_t b = 0; b < image.blocks.size(); ++b) {
       const SuperBlock& blk = image.blocks[b];
-      EXPECT_GE(blk.count, kMinFuseLength);
+      ASSERT_GE(blk.count, 1u);
       // `count` real instructions plus the dispatcher's terminator entry.
       ASSERT_EQ(blk.code.size(), blk.count + 1);
       EXPECT_EQ(static_cast<std::uint8_t>(blk.code.back().ins.op),
                 kEndOfBlockToken);
       EXPECT_EQ(blk.code.back().num_costs, 0u);
-      EXPECT_EQ(blk.end_pc, 2 * (blk.head_idx + blk.count));
       EXPECT_EQ(image.block_at[blk.head_idx], static_cast<std::int32_t>(b));
-      std::uint64_t cycles = 0;
-      for (std::uint32_t i = 0; i < blk.count; ++i) {
+      // A terminator comes only last; the body is fusable 1-halfword
+      // slots at consecutive addresses.
+      std::uint64_t body_cycles = 0;
+      for (std::uint32_t i = 0; i + 1 < blk.count; ++i) {
         const FusedInstr& f = blk.code[i];
         EXPECT_TRUE(fusable(f.ins, 1));
+        EXPECT_FALSE(is_terminator(f.ins));
+        EXPECT_EQ(f.pc4, 2 * (blk.head_idx + i) + 4);
         for (unsigned c = 0; c < f.num_costs; ++c) {
-          cycles += f.costs[c].cycles;
+          body_cycles += f.costs[c].cycles;
         }
       }
-      // The per-instruction static costs and the batched block delta
-      // are the same numbers.
-      EXPECT_EQ(cycles, blk.cycles);
+      const FusedInstr& last = blk.code[blk.count - 1];
+      EXPECT_EQ(last.pc4, 2 * (blk.head_idx + blk.count - 1) + 4);
+      const bool terminated = is_terminator(last.ins);
+      // end_pc covers the last instruction — both halfwords of a BL.
+      EXPECT_EQ(blk.end_pc, last.pc4 - 4 + (last.ins.op == Op::kBl ? 4 : 2));
+      if (terminated) {
+        ++terminated_blocks;
+        // The batched body delta plus either terminator cost is what the
+        // per-instruction engines charge for the same retirements.
+        for (const bool taken : {false, true}) {
+          InstrCost c[2];
+          ASSERT_EQ(static_costs(last.ins, taken, c), 1u);
+          EXPECT_EQ(blk.exit_cost[taken].cls, c[0].cls);
+          EXPECT_EQ(blk.exit_cost[taken].cycles, c[0].cycles);
+          EXPECT_EQ(blk.cycles + blk.exit_cost[taken].cycles,
+                    body_cycles + c[0].cycles);
+        }
+      } else {
+        EXPECT_GE(blk.count, kMinFuseLength);
+        EXPECT_TRUE(fusable(last.ins, 1));
+        for (unsigned c = 0; c < last.num_costs; ++c) {
+          body_cycles += last.costs[c].cycles;
+        }
+        EXPECT_EQ(blk.exit_cost[0].cycles, 0u);
+        EXPECT_EQ(blk.exit_cost[1].cycles, 0u);
+      }
+      EXPECT_EQ(body_cycles, blk.cycles);
       std::uint64_t hist_cycles = 0;
       for (const auto& [cls, cyc] : blk.hist) hist_cycles += cyc;
       EXPECT_EQ(hist_cycles, blk.cycles);
@@ -516,10 +737,14 @@ TEST(Threaded, FusionDiscoveryInvariants) {
       EXPECT_FALSE(is_block_interior(image, addr / 2))
           << "label " << label << " interior to a fused block";
     }
-    // The straight-line kernels fuse nearly everything.
-    if (name != "inv") {
-      EXPECT_GT(image.fused_slots * 10, image.valid_slots * 9);
+    // Straight-line kernels are one block; loop kernels end most blocks
+    // in their branches. Either way nearly everything fuses.
+    if (name == "mul" || name == "sqr" || name == "reduce") {
+      EXPECT_EQ(image.blocks.size(), 1u);
+    } else {
+      EXPECT_GT(terminated_blocks * 2, image.blocks.size());
     }
+    EXPECT_GT(image.fused_slots * 10, image.valid_slots * 9);
   }
 }
 

@@ -4,6 +4,8 @@
 // direct library call, for any worker count, coalesced or not.
 #include <gtest/gtest.h>
 
+#include <netinet/in.h>
+#include <netinet/tcp.h>
 #include <sys/socket.h>
 #include <unistd.h>
 
@@ -146,13 +148,70 @@ TEST(Server, ServedWorkloadPayloadsAreBitIdenticalToDirectCalls) {
       ASSERT_TRUE(resp.get("ok")->as_bool()) << op << " " << curve;
 
       const workloads::WorkloadSpec spec = workloads::make_workload(op, curve);
+      const armvm::Cpu::DecodeMode engine = server.config().engine;
       const telemetry::Json direct = workload_payload(
-          spec, 1, workloads::replay(spec, armvm::Cpu::DecodeMode::kPredecode),
-          armvm::Cpu::DecodeMode::kPredecode, {});
+          spec, 1, workloads::replay(spec, engine), engine, {});
       EXPECT_EQ(resp.get("payload")->dump(), direct.dump())
           << op << " " << curve;
     }
   }
+  server.stop();
+}
+
+TEST(Server, DefaultThreadedServerMatchesPredecodeServer) {
+  // Serve runs on the threaded engine by default. A predecode server
+  // must answer the same request with the same simulated results: every
+  // payload field is equal except the engine name and the threaded
+  // engine's fused-retirement diagnostic (0 on predecode).
+  EXPECT_EQ(ServerConfig{}.engine, armvm::Cpu::DecodeMode::kThreaded);
+  std::vector<telemetry::Json> payloads;
+  for (const bool predecode : {true, false}) {
+    ServerConfig cfg = test_config(1);
+    if (predecode) cfg.engine = armvm::Cpu::DecodeMode::kPredecode;
+    Server server(cfg);
+    server.start();
+    Client client;
+    client.connect_to(server.port());
+    telemetry::Json params = telemetry::Json::object();
+    params.set("curve", telemetry::Json::str("secp192r1"));
+    const telemetry::Json resp = client.call("ecdsa", std::move(params));
+    ASSERT_TRUE(resp.get("ok")->as_bool());
+    payloads.push_back(*resp.get("payload"));
+    server.stop();
+  }
+  const telemetry::Json& pre = payloads[0];
+  const telemetry::Json& thr = payloads[1];
+  EXPECT_EQ(pre.get("engine")->as_string(), "predecode");
+  EXPECT_EQ(thr.get("engine")->as_string(), "threaded");
+  EXPECT_EQ(pre.get("fused_retired")->as_u64(), 0u);
+  EXPECT_GT(thr.get("fused_retired")->as_u64(), 0u);
+  for (const char* key : {"cycles", "instructions", "output_digest"}) {
+    EXPECT_EQ(pre.get(key)->dump(), thr.get(key)->dump()) << key;
+  }
+  ASSERT_EQ(pre.size(), thr.size());
+  for (std::size_t i = 0; i < pre.members().size(); ++i) {
+    const auto& [key, value] = pre.members()[i];
+    EXPECT_EQ(key, thr.members()[i].first);
+    if (key == "engine" || key == "fused_retired") continue;
+    EXPECT_EQ(value.dump(), thr.members()[i].second.dump()) << key;
+  }
+}
+
+TEST(Server, ClientSocketSetsNodelay) {
+  Server server(test_config(1));
+  server.start();
+  Client client;
+  client.connect_to(server.port());
+  int nodelay = 0;
+  socklen_t len = sizeof(nodelay);
+  ASSERT_EQ(::getsockopt(client.fd(), IPPROTO_TCP, TCP_NODELAY, &nodelay,
+                         &len),
+            0);
+  EXPECT_NE(nodelay, 0);
+  // The connection still works: the frame round trip is unchanged.
+  EXPECT_TRUE(client.call("ping", telemetry::Json::object())
+                  .get("ok")
+                  ->as_bool());
   server.stop();
 }
 
@@ -194,7 +253,7 @@ TEST(Server, ServedCampaignPayloadIsBitIdenticalToDirectRun) {
   cfg.runs_per_model = 3;
   cfg.seed = 0xFEED;
   cfg.threads = 1;
-  cfg.engine = armvm::Cpu::DecodeMode::kPredecode;
+  cfg.engine = server.config().engine;
   const telemetry::Json direct =
       campaign_payload(faultsim::run_kp_campaign(cfg));
   EXPECT_EQ(resp.get("payload")->dump(), direct.dump());
@@ -318,11 +377,9 @@ TEST(Server, CoalescedBatchStillServesIdenticalPayloads) {
   }
   const workloads::WorkloadSpec spec =
       workloads::make_workload("kp", "sect233k1");
+  const armvm::Cpu::DecodeMode engine = server.config().engine;
   const std::string direct =
-      workload_payload(spec, 1,
-                       workloads::replay(spec,
-                                         armvm::Cpu::DecodeMode::kPredecode),
-                       armvm::Cpu::DecodeMode::kPredecode, {})
+      workload_payload(spec, 1, workloads::replay(spec, engine), engine, {})
           .dump();
   for (std::uint64_t i = 0; i < kRequests; ++i) {
     std::string body;
@@ -365,6 +422,8 @@ TEST(Server, StatsEndpointReportsServeMetrics) {
   ASSERT_NE(metrics, nullptr);
   const telemetry::Json* counters = metrics->get("counters");
   ASSERT_NE(counters, nullptr);
+  // Counted before the kp response was sent, so already visible here.
+  ASSERT_NE(counters->get("serve.requests"), nullptr);
   EXPECT_EQ(counters->get("serve.requests")->as_u64(), 1u);
   server.stop();
 }
