@@ -52,10 +52,10 @@ int main(int argc, char** argv) {
 
   // ---- Model vs measured VM replay ------------------------------------
   // Every candidate the workload layer covers gets its kP mix replayed
-  // on the VM (predecode engine); the model's point-mul estimate sits
+  // on the VM (threaded engine); the model's point-mul estimate sits
   // next to the measured cycles. The measured binary/prime ordering is
   // the executable form of conclusion (1).
-  bench::banner("model vs measured (workloads::replay, predecode engine)");
+  bench::banner("model vs measured (workloads::replay, threaded engine)");
   bench::Table mt({"Curve", "Model [cy]", "Measured [cy]", "Model/Meas",
                    "Measured [uJ]"});
   std::map<std::string, const model::CandidateEstimate*> by_name;
@@ -64,7 +64,7 @@ int main(int argc, char** argv) {
   for (const std::string& cname : workloads::workload_curve_names()) {
     const workloads::WorkloadSpec spec = workloads::kp_workload(cname);
     const workloads::ReplayResult r =
-        workloads::replay(spec, armvm::Cpu::DecodeMode::kPredecode);
+        workloads::replay(spec, armvm::Cpu::DecodeMode::kThreaded);
     const double uj = r.stats.energy().energy_uj();
     measured[cname] = {r.stats.cycles, uj};
     const auto it = by_name.find(cname);

@@ -12,7 +12,8 @@
 // Flags (bench::Args): --runs=N (default 1000 per model), --quick (25
 //        per model), --seed=S, --curve=NAME (sect233k1 default; the
 //        secp curves fault the Montgomery-mul kernel inside a Jacobian
-//        wNAF ladder instead), --threads=N (batch-executor workers,
+//        wNAF ladder instead), --engine=perstep|threaded (the injected
+//        core, default threaded), --threads=N (batch-executor workers,
 //        default 1, 0 = hardware concurrency; tallies identical for any
 //        value), --json[=PATH] (default BENCH_fault_campaign.json).
 #include <chrono>
@@ -21,6 +22,7 @@
 #include <string>
 #include <vector>
 
+#include "armvm/dispatch.h"
 #include "crypto/ecdsa.h"
 #include "faultsim/campaign.h"
 #include "manifest.h"
@@ -83,6 +85,7 @@ int main(int argc, char** argv) {
   cfg.threads = args.threads;
   try {
     (void)workloads::curve_from_name(args.curve);
+    cfg.engine = armvm::decode_mode_from_name(args.engine);
   } catch (const std::invalid_argument& e) {
     std::fprintf(stderr, "%s\n", e.what());
     return 2;

@@ -3,11 +3,11 @@
 //
 // For each curve the bench replays the kP field-op mix as one VM
 // workload (workloads::replay — mul/sqr/inv kernel calls in mix order)
-// on all three execution engines and reports instructions, cycles and
+// on both execution engines and reports instructions, cycles and
 // Table-3 energy per kP. The engines must be bit-identical: any
 // divergence in retired work or in the output digest fails the bench.
 // A second table replays the full protocol transactions (kP, ECDH
-// agreement, ECDSA sign+verify) per curve on the predecode engine, and
+// agreement, ECDSA sign+verify) per curve on the threaded engine, and
 // a third characterises the mpint Karatsuba threshold: recursive
 // 32x32 limb-product counts vs school-book for growing operand sizes,
 // with the crossover that justifies kKaratsubaThreshold sitting above
@@ -19,8 +19,9 @@
 // --threads value.
 //
 // Flags (bench::Args): --quick (kP table only, sect233k1 + secp192r1,
-//        predecode engine), --curve=NAME (restrict to one curve),
-//        --json[=PATH] (default BENCH_prime_vs_binary.json).
+//        on --engine=E alone, default threaded), --curve=NAME
+//        (restrict to one curve), --json[=PATH] (default
+//        BENCH_prime_vs_binary.json). Unknown curves and engines exit 2.
 #include <cstdio>
 #include <stdexcept>
 #include <string>
@@ -69,7 +70,12 @@ int main(int argc, char** argv) {
     return 2;
   }
   std::vector<std::string> curves;
+  std::vector<armvm::Cpu::DecodeMode> engines = {
+      armvm::Cpu::DecodeMode::kPerStep, armvm::Cpu::DecodeMode::kThreaded};
   try {
+    const armvm::Cpu::DecodeMode engine =
+        armvm::decode_mode_from_name(args.engine);
+    if (quick) engines = {engine};
     if (!args.curve.empty()) {
       curves = {workloads::curve_from_name(args.curve).name};
     } else if (quick) {
@@ -81,17 +87,6 @@ int main(int argc, char** argv) {
     std::fprintf(stderr, "%s\n", e.what());
     return 2;
   }
-
-  const struct {
-    const char* name;
-    armvm::Cpu::DecodeMode mode;
-  } kEngines[] = {
-      {"perstep", armvm::Cpu::DecodeMode::kPerStep},
-      {"predecode", armvm::Cpu::DecodeMode::kPredecode},
-      {"threaded", armvm::Cpu::DecodeMode::kThreaded},
-  };
-  const unsigned engines = quick ? 1 : 3;
-  const unsigned engine0 = quick ? 1 : 0;  // quick: predecode only
 
   bool ok = true;
   bench::JsonWriter w;
@@ -106,16 +101,17 @@ int main(int argc, char** argv) {
   for (const std::string& cname : curves) {
     const workloads::WorkloadSpec spec = workloads::kp_workload(cname);
     std::uint64_t ref_cycles = 0, ref_digest = 0, ref_instr = 0;
-    for (unsigned e = engine0; e < engine0 + engines; ++e) {
-      const workloads::ReplayResult r = workloads::replay(spec, kEngines[e].mode);
+    for (const armvm::Cpu::DecodeMode mode : engines) {
+      const char* engine = armvm::decode_mode_name(mode);
+      const workloads::ReplayResult r = workloads::replay(spec, mode);
       const double uj = r.stats.energy().energy_uj();
       kp.add_row({cname, spec.curve.binary_field ? "GF(2^m)" : "GF(p)",
-                  kEngines[e].name, bench::fmt_u64(spec.ops.mul),
+                  engine, bench::fmt_u64(spec.ops.mul),
                   bench::fmt_u64(spec.ops.sqr), bench::fmt_u64(spec.ops.inv),
                   bench::fmt_u64(r.stats.instructions),
                   bench::fmt_u64(r.stats.cycles), bench::fmt_f(uj, 2),
                   bench::fmt_u64(r.fused_retired), hex64(r.output_digest)});
-      if (e == engine0) {
+      if (mode == engines.front()) {
         ref_instr = r.stats.instructions;
         ref_cycles = r.stats.cycles;
         ref_digest = r.output_digest;
@@ -125,7 +121,7 @@ int main(int argc, char** argv) {
         std::fprintf(stderr,
                      "FAIL: %s kP diverges on engine %s (cycles %llu vs "
                      "%llu, digest %s vs %s)\n",
-                     cname.c_str(), kEngines[e].name,
+                     cname.c_str(), engine,
                      static_cast<unsigned long long>(r.stats.cycles),
                      static_cast<unsigned long long>(ref_cycles),
                      hex64(r.output_digest).c_str(), hex64(ref_digest).c_str());
@@ -133,7 +129,7 @@ int main(int argc, char** argv) {
       }
       w.begin_object();
       w.field("curve", cname);
-      w.field("engine", kEngines[e].name);
+      w.field("engine", engine);
       w.field("fmul", spec.ops.mul);
       w.field("fsqr", spec.ops.sqr);
       w.field("finv", spec.ops.inv);
@@ -151,9 +147,9 @@ int main(int argc, char** argv) {
               "same output digest; the table doubles as the differential\n"
               "harness over the prime kernels.\n");
 
-  // ---- 2. Protocol transactions per curve (predecode) ------------------
+  // ---- 2. Protocol transactions per curve (threaded) -------------------
   if (!quick) {
-    bench::banner("protocol transactions (predecode engine)");
+    bench::banner("protocol transactions (threaded engine)");
     bench::Table tx({"curve", "transaction", "kP count", "Fmul", "Fsqr",
                      "Finv", "cycles", "energy uJ", "digest"});
     w.begin_array("transactions");
@@ -161,7 +157,7 @@ int main(int argc, char** argv) {
       for (const char* t : {"kp", "ecdh", "ecdsa"}) {
         const workloads::WorkloadSpec spec = workloads::make_workload(t, cname);
         const workloads::ReplayResult r =
-            workloads::replay(spec, armvm::Cpu::DecodeMode::kPredecode);
+            workloads::replay(spec, armvm::Cpu::DecodeMode::kThreaded);
         const double uj = r.stats.energy().energy_uj();
         tx.add_row({cname, t, std::to_string(spec.point_muls),
                     bench::fmt_u64(spec.ops.mul), bench::fmt_u64(spec.ops.sqr),

@@ -10,6 +10,9 @@
 //   - a per-word RAM heatmap of the product vector v[0..15], fixed-
 //     register vs plain-memory multiplication — the observational proof
 //     of the paper's register-pinning claim (v[3..11] near-zero traffic);
+//   - --engine=perstep|threaded picks the engine (default threaded;
+//     traced runs retire per-instruction on both, so the attribution is
+//     engine-independent); unknown values exit 2;
 //   - with --json[=PATH] (bench::Args convention, opt-in) a
 //     BENCH_profile.json mirror, plus profile_trace.json (Chrome
 //     trace-event / Perfetto, simulated 48 MHz clock) and
@@ -22,6 +25,7 @@
 #include <vector>
 
 #include "armvm/cpu.h"
+#include "armvm/dispatch.h"
 #include "asmkernels/gen.h"
 #include "manifest.h"
 #include "ec/costing.h"
@@ -51,9 +55,9 @@ struct Machine {
   armvm::Memory& mem;
   Cpu& cpu;
 
-  explicit Machine(const std::string& kernel_name)
+  Machine(const std::string& kernel_name, Cpu::DecodeMode engine)
       : name(kernel_name),
-        km(workloads::kernel(kernel_name)),
+        km(workloads::kernel(kernel_name), engine),
         prof(km.prog()),
         heat(kRamSize),
         mem(km.mem()),
@@ -124,7 +128,8 @@ void print_functions(Machine& m) {
 /// sect233k1 claim (there is no "plain" comparator kernel on GF(p)), so
 /// this path reports attribution + the Montgomery operand regions only.
 int run_prime_profile(const bench::Args& args,
-                      const workloads::CurveRef& curve) {
+                      const workloads::CurveRef& curve,
+                      Cpu::DecodeMode engine) {
   bench::banner("kP field-kernel profile - symbol attribution (GF(p))");
 
   const ec::FieldOpCounts& ops = workloads::op_mix(curve);
@@ -134,9 +139,9 @@ int run_prime_profile(const bench::Args& args,
               static_cast<unsigned long long>(ops.sqr),
               static_cast<unsigned long long>(ops.inv));
 
-  Machine mont(curve.kernel_tag + "-mont");
-  Machine sqr(curve.kernel_tag + "-sqr");
-  Machine inv(curve.kernel_tag + "-inv");
+  Machine mont(curve.kernel_tag + "-mont", engine);
+  Machine sqr(curve.kernel_tag + "-sqr", engine);
+  Machine inv(curve.kernel_tag + "-inv", engine);
 
   const workloads::PrimeOperands& od = workloads::PrimeOperands::standard(curve);
   for (Machine* m : {&mont, &sqr, &inv}) {
@@ -235,9 +240,11 @@ int main(int argc, char** argv) {
       !args.positionals().empty()) {
     return 2;
   }
+  Cpu::DecodeMode engine;
   try {
+    engine = armvm::decode_mode_from_name(args.engine);
     const workloads::CurveRef& curve = workloads::curve_from_name(args.curve);
-    if (!curve.binary_field) return run_prime_profile(args, curve);
+    if (!curve.binary_field) return run_prime_profile(args, curve, engine);
   } catch (const std::invalid_argument& e) {
     std::fprintf(stderr, "%s\n", e.what());
     return 2;
@@ -258,11 +265,11 @@ int main(int argc, char** argv) {
   // Registry names: "mul" is the fixed-register multiplier, "mul-plain"
   // the memory-resident comparator for the heatmap claim only — same
   // operands, same call count as the fixed machine.
-  Machine mul("mul");
+  Machine mul("mul", engine);
   mul.name = "mul_fixed";
-  Machine sqr("sqr");
-  Machine inv("inv");
-  Machine plain("mul-plain");
+  Machine sqr("sqr", engine);
+  Machine inv("inv", engine);
+  Machine plain("mul-plain", engine);
   plain.name = "mul_plain";
 
   const workloads::KernelOperands& od = workloads::KernelOperands::standard();

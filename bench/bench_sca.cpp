@@ -16,8 +16,9 @@
 // digests against the committed serial baseline.
 //
 // Flags: --json[=PATH] --threads=N --seed=S --iters=N (traces per class)
-//        --curve=NAME (sect233k1 default; a secp curve swaps in its
-//        prime kernel set: the raw school-book product must verify
+//        --engine=E (digests are engine-independent) --curve=NAME
+//        (sect233k1 default; a secp curve swaps in its prime kernel
+//        set: the raw school-book product must verify
 //        constant and TVLA-clean, while the Montgomery kernels' REDC
 //        carry loop and the EEA inverse must be flagged; the host-level
 //        op-mix checks stay sect233k1-scoped and are skipped).
@@ -26,6 +27,7 @@
 #include <string>
 #include <vector>
 
+#include "armvm/dispatch.h"
 #include "manifest.h"
 #include "report.h"
 #include "sca/campaign.h"
@@ -61,8 +63,10 @@ int main(int argc, char** argv) {
     return 2;
   }
   const workloads::CurveRef* curve = nullptr;
+  armvm::Cpu::DecodeMode engine;
   try {
     curve = &workloads::curve_from_name(args.curve);
+    engine = armvm::decode_mode_from_name(args.engine);
   } catch (const std::invalid_argument& e) {
     std::fprintf(stderr, "%s\n", e.what());
     return 2;
@@ -107,6 +111,7 @@ int main(int argc, char** argv) {
     sca::CtConfig cfg;
     cfg.kernel = kernel;
     cfg.seed = args.seed;
+    cfg.engine = engine;
     cfg.metrics = &metrics;
     const sca::CtReport rep = sca::check_kernel_constant_trace(cfg);
     std::string where = "-";
@@ -231,6 +236,7 @@ int main(int argc, char** argv) {
     cfg.traces_per_class = static_cast<unsigned>(args.iters);
     cfg.seed = args.seed;
     cfg.threads = args.threads;
+    cfg.engine = engine;
     cfg.metrics = &metrics;
     cfg.progress = &progress;
     const sca::TvlaCampaignResult res = sca::run_tvla_campaign(cfg);

@@ -247,7 +247,7 @@ inline std::string json_flag_path(int argc, char** argv,
 ///   --threads=N    batch-executor worker count (0 = hardware concurrency)
 ///   --seed=S       campaign seed, 0x.. accepted
 ///   --iters=N      workload scale (reps / runs / calls / traces)
-///   --engine=E     execution engine: perstep|predecode|threaded
+///   --engine=E     execution engine: perstep|threaded
 ///                  (armvm::decode_mode_from_name validates the value)
 ///   --mem=M        RAM protection model: raw|parity|secded
 ///                  (armvm::mem_model_from_name validates the value)
@@ -268,7 +268,7 @@ class Args {
   /// Engine name for `--engine=` (see armvm/dispatch.h). Kept as the
   /// flag spelling so this header stays armvm-free; harnesses convert
   /// with armvm::decode_mode_from_name, which throws on a bad value.
-  std::string engine = "predecode";
+  std::string engine = "threaded";
   /// Memory model name for `--mem=` (see armvm/memmodel.h). Same
   /// convention as `engine`: kept as the flag spelling, converted by
   /// harnesses with armvm::mem_model_from_name (which throws on a bad
@@ -371,7 +371,7 @@ class Args {
   std::string usage_suffix() const {
     std::string s =
         " (standard flags: --json[=PATH] --threads=N --seed=S --iters=N"
-        " --engine=perstep|predecode|threaded --mem=raw|parity|secded"
+        " --engine=perstep|threaded --mem=raw|parity|secded"
         " --curve=NAME --progress[=off|plain]";
     std::string extra;
     for (const auto& [name, dst] : flags_) {

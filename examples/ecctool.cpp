@@ -27,9 +27,7 @@
 // `serve` runs the async batch service (src/service, wire schema
 // eccm0.req.v1 / eccm0.resp.v1 — DESIGN.md §14): kP / ECDH / ECDSA
 // workload replays and campaign jobs over a bounded MPMC queue with
-// request coalescing, until a `shutdown` request or SIGINT/SIGTERM. It
-// runs on the threaded engine unless --engine says otherwise (the other
-// subcommands default to predecode).
+// request coalescing, until a `shutdown` request or SIGINT/SIGTERM.
 // `client` sends one request to a running serve and prints the response
 // document (exit 0 on ok, 1 on a typed error); --raw sends arbitrary
 // bytes as the frame body, for protocol testing.
@@ -63,8 +61,8 @@
 // on the power rig, then writes the per-cycle |t| trace to
 // ecctool_ttrace.json for Perfetto. The multi-command flags share the
 // bench::Args conventions (--threads=N, --seed=S, and
-// --engine=perstep|predecode|threaded to pick the armvm execution
-// engine; traced subcommands observe identical streams on every engine).
+// --engine=perstep|threaded to pick the armvm execution engine, threaded
+// by default; traced subcommands observe identical streams on both).
 #include <algorithm>
 #include <cctype>
 #include <chrono>
@@ -163,7 +161,7 @@ int usage() {
                " [--json[=P]]\n"
                "       ecctool client <op> --port=P [--curve=C] [--iters=N]"
                " [--params=JSON] [--raw=BODY]\n"
-               "  (E = perstep|predecode|threaded, M = raw|parity|secded,\n"
+               "  (E = perstep|threaded, M = raw|parity|secded,\n"
                "   C = sect233k1|secp192r1|secp224r1|secp256r1;\n"
                "   simulation subcommands also take --json[=PATH] for a run\n"
                "   manifest and --progress[=off|plain] for live progress)\n");
@@ -937,9 +935,6 @@ int run_serve(int argc, char** argv) {
   bool no_coalesce = false;
   std::string port_file;
   bench::Args args;
-  // serve defaults to the server's own engine (threaded), not the
-  // predecode default the other subcommands share.
-  args.engine = armvm::decode_mode_name(service::ServerConfig{}.engine);
   args.add_u64("--port", &port);
   args.add_u64("--listen-workers", &listen_workers);
   args.add_u64("--queue-depth", &queue_depth);

@@ -382,8 +382,8 @@ bool Cpu::step_impl() {
   if (pc % 2 != 0) throw AlignmentFault("Cpu: odd PC", pc);
   const std::size_t idx = pc / 2;
   if (idx >= code_size_) throw BusFault("Cpu: PC outside code", pc);
-  // kThreaded steps exactly like kPredecode: fusion only kicks in inside
-  // the bulk runner, single-stepping is always per-instruction.
+  // Single-stepping is always per-instruction: kThreaded fuses only
+  // inside the bulk runner.
   Decoded d;
   if (mode_ == DecodeMode::kPerStep) {
     d = decode(prog_->code(), idx);
@@ -411,23 +411,18 @@ bool Cpu::step_impl() {
 
 std::uint64_t Cpu::run_predecoded(std::uint64_t limit) {
   // Select the loop instantiation ONCE per chunk: the untraced/raw
-  // variants contain no tracing or wait-state code at all, so an idle
+  // variant contains no tracing or wait-state code at all, so an idle
   // sink pointer or an unprotected Memory costs the hot path nothing.
-  // Traced and protected runs never fuse, on any engine. (Traced runs
-  // drain wait-states inside exec_traced, so the traced loop needs no
-  // kProt variant.)
-  if (trace_ != nullptr) return run_predecoded_impl<true, false, false>(limit);
-  if (ram_.is_protected()) {
-    return run_predecoded_impl<false, true, false>(limit);
-  }
-  return mode_ == DecodeMode::kThreaded
-             ? run_predecoded_impl<false, false, true>(limit)
-             : run_predecoded_impl<false, false, false>(limit);
+  // Traced and protected runs never fuse. (Traced runs drain wait-states
+  // inside exec_traced, so the traced loop needs no kProt variant.)
+  if (trace_ != nullptr) return run_predecoded_impl<true, false>(limit);
+  if (ram_.is_protected()) return run_predecoded_impl<false, true>(limit);
+  return run_predecoded_impl<false, false>(limit);
 }
 
-template <bool kTraced, bool kProt, bool kFused>
+template <bool kTraced, bool kProt>
 ECCM0_FLATTEN std::uint64_t Cpu::run_predecoded_impl(std::uint64_t limit) {
-  // Tight inner loop of the pre-decoded engine: no decode, no budget
+  // Tight inner loop of the threaded engine: no decode, no budget
   // check, and the retired-instruction counter is carried in a register
   // and flushed once per chunk (also on the exception path, so stats_
   // reflect exactly the instructions that retired before a fault — the
@@ -449,7 +444,7 @@ ECCM0_FLATTEN std::uint64_t Cpu::run_predecoded_impl(std::uint64_t limit) {
       if (idx >= code_halfwords) {
         throw BusFault("Cpu: PC outside code", pc);
       }
-      if constexpr (kFused) {
+      if constexpr (!kTraced && !kProt) {
         // Enter a fused block only at its head and only when the whole
         // block fits in this chunk's budget — otherwise retire
         // per-instruction so the budget trips at the engine-independent

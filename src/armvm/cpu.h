@@ -4,19 +4,20 @@
 // against the paper's Table 3.
 //
 // Each instruction is defined once: its semantics in semantics.inc, its
-// cost pairs in static_costs() (isa.h). Three engines execute those
+// cost pairs in static_costs() (isa.h). Two engines execute those
 // definitions and are bit-identical in cycles, histograms, energy and
 // traced event streams:
 //   - kPerStep decodes every instruction afresh: the reference engine
 //     for decode, caching, fusion, batched accounting and fault replay
 //     (tests/armvm/predecode_test.cpp, threaded_test.cpp);
-//   - kPredecode executes from the Program's construction-time decode
-//     cache. Slots that do not decode (data words, literal pools, BL low
-//     halfwords) trap to a fresh decode() when the PC lands on them, so
-//     errors match kPerStep;
-//   - kThreaded additionally retires fused basic blocks in one dispatch
-//     (superinst.h, dispatch.cpp).
-// exec<kTraced>() runs one instruction for the first two and for every
+//   - kThreaded, the default, executes from the Program's
+//     construction-time decode cache and retires fused basic blocks in
+//     one dispatch (superinst.h, dispatch.cpp). Slots that do not decode
+//     (data words, literal pools, BL low halfwords) trap to a fresh
+//     decode() when the PC lands on them, so errors match kPerStep.
+//     Traced and protected-memory runs never fuse: they take the same
+//     chunk loop per-instruction.
+// exec<kTraced>() runs one instruction for kPerStep and for every
 // instruction the threaded engine does not fuse.
 #pragma once
 
@@ -408,27 +409,26 @@ class Cpu {
  public:
   /// How the execution engine obtains decoded instructions.
   enum class DecodeMode {
-    kPredecode,  ///< execute from the construction-time decode cache
-    kPerStep,    ///< reference engine: fresh decode() every instruction
-    kThreaded,   ///< kPredecode plus token-threaded dispatch of fused
-                 ///< basic-block superinstructions with batched
-                 ///< accounting, chained across the branches that end
-                 ///< them (see armvm/superinst.h). Executes
-                 ///< per-instruction when a TraceSink is attached, when
-                 ///< the RAM is protected, when the budget would expire
-                 ///< inside a block, or when the PC enters a block
-                 ///< anywhere but its head.
+    kPerStep,   ///< reference engine: fresh decode() every instruction
+    kThreaded,  ///< execute from the construction-time decode cache, with
+                ///< token-threaded dispatch of fused basic-block
+                ///< superinstructions and batched accounting, chained
+                ///< across the branches that end them (see
+                ///< armvm/superinst.h). Executes per-instruction when a
+                ///< TraceSink is attached, when the RAM is protected,
+                ///< when the budget would expire inside a block, or when
+                ///< the PC enters a block anywhere but its head.
   };
 
   /// A Cpu is a cheap per-run execution context over a shared immutable
-  /// `Program` (code at address 0, predecode cache, symbols); `ram` is
+  /// `Program` (code at address 0, decode cache, symbols); `ram` is
   /// the SRAM. Any number of contexts — including on different threads —
   /// can execute the same ProgramRef concurrently, each with its own
   /// Memory.
-  Cpu(ProgramRef prog, Memory& ram, DecodeMode mode = DecodeMode::kPredecode);
+  Cpu(ProgramRef prog, Memory& ram, DecodeMode mode = DecodeMode::kThreaded);
   /// Convenience: wrap raw halfwords into a fresh single-use Program.
   Cpu(std::vector<std::uint16_t> code, Memory& ram,
-      DecodeMode mode = DecodeMode::kPredecode);
+      DecodeMode mode = DecodeMode::kThreaded);
 
   const Program& program() const { return *prog_; }
   const ProgramRef& program_ref() const { return prog_; }
@@ -495,8 +495,7 @@ class Cpu {
 
   /// Diagnostics of the threaded engine (fusion report): instructions
   /// retired inside fused superblocks, and blocks entered. Not part of
-  /// RunStats or snapshots — purely observability, zero for the other
-  /// engines.
+  /// RunStats or snapshots — purely observability, zero on kPerStep.
   std::uint64_t fused_retired() const { return fused_retired_; }
   std::uint64_t fused_blocks_entered() const { return fused_blocks_entered_; }
 
@@ -556,16 +555,15 @@ class Cpu {
   /// deliver it to the sink.
   void exec_traced(std::uint32_t pc, const Instr& ins, unsigned halfwords);
   [[noreturn]] void trap_undecodable(std::size_t idx) const;
-  /// The bulk runner of kPredecode and kThreaded: picks the loop
-  /// instantiation once per chunk.
+  /// The bulk runner of kThreaded: picks the loop instantiation once per
+  /// chunk.
   std::uint64_t run_predecoded(std::uint64_t limit);
   /// kTraced delivers every retirement to the sink; kProt drains the
   /// Memory's pending wait-state cycles into the kMemWait class after
-  /// every instruction; kFused enters fused blocks at their heads (raw,
-  /// untraced runs of kThreaded only: blocks precompute their cycle
-  /// totals and access the RAM bytes directly, so they can neither trace
-  /// nor see wait-states).
-  template <bool kTraced, bool kProt, bool kFused>
+  /// every instruction. Raw, untraced runs (neither) enter fused blocks
+  /// at their heads: blocks precompute their cycle totals and access the
+  /// RAM bytes directly, so they can neither trace nor see wait-states.
+  template <bool kTraced, bool kProt>
   std::uint64_t run_predecoded_impl(std::uint64_t limit);
   /// Retire the fused block `first` (PC is at its head; it fits in
   /// `budget`), then keep chaining into the block at the new PC while

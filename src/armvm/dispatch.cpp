@@ -1,13 +1,13 @@
 // The token-threaded execution engine (DecodeMode::kThreaded): the
 // superblock dispatcher, plus the engine-name helpers of dispatch.h.
 //
-// The threaded engine's chunk loop is the predecoded one
-// (Cpu::run_predecoded_impl<..., kFused = true>, cpu.cpp): it enters a
-// fused block when the PC sits on a block head and the whole block fits
-// in the remaining budget, and executes everything else — interior
-// entry after a snapshot restore, budget boundary, undecodable slot,
-// control flow no block ends in (BLX, POP {pc}, writes to PC), traced or
-// protected-memory runs — per-instruction through Cpu::exec.
+// The threaded engine's chunk loop is Cpu::run_predecoded_impl (cpu.cpp):
+// on raw, untraced runs it enters a fused block when the PC sits on a
+// block head and the whole block fits in the remaining budget, and it
+// executes everything else — interior entry after a snapshot restore,
+// budget boundary, undecodable slot, control flow no block ends in (BLX,
+// POP {pc}, writes to PC), traced or protected-memory runs —
+// per-instruction through Cpu::exec.
 //
 // Cpu::run_fused_chain retires that block and every block it chains
 // into. It runs the instruction bodies of semantics.inc — the same bodies
@@ -49,7 +49,6 @@ namespace eccm0::armvm {
 
 Cpu::DecodeMode decode_mode_from_name(std::string_view name) {
   if (name == "perstep") return Cpu::DecodeMode::kPerStep;
-  if (name == "predecode") return Cpu::DecodeMode::kPredecode;
   if (name == "threaded") return Cpu::DecodeMode::kThreaded;
   throw std::invalid_argument("unknown engine '" + std::string(name) +
                               "' (expected " + kEngineFlagValues + ")");
@@ -58,7 +57,6 @@ Cpu::DecodeMode decode_mode_from_name(std::string_view name) {
 const char* decode_mode_name(Cpu::DecodeMode mode) {
   switch (mode) {
     case Cpu::DecodeMode::kPerStep: return "perstep";
-    case Cpu::DecodeMode::kPredecode: return "predecode";
     case Cpu::DecodeMode::kThreaded: return "threaded";
   }
   return "?";

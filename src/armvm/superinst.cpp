@@ -105,41 +105,39 @@ ThreadedImage build_threaded_image(
       code.push_back(f);
     }
     const auto count = static_cast<std::uint32_t>(code.size());
-    if (terminated || count >= kMinFuseLength) {
-      SuperBlock b;
-      b.head_idx = static_cast<std::uint32_t>(idx);
-      b.count = count;
-      b.end_pc = static_cast<std::uint32_t>(2 * j);
-      std::uint64_t by_class[static_cast<int>(InstrClass::kCount)] = {};
-      const std::uint32_t body = terminated ? count - 1 : count;
-      for (std::uint32_t k = 0; k < body; ++k) {
-        for (unsigned c = 0; c < code[k].num_costs; ++c) {
-          by_class[static_cast<int>(code[k].costs[c].cls)] +=
-              code[k].costs[c].cycles;
-          b.cycles += code[k].costs[c].cycles;
-        }
+    SuperBlock b;
+    b.head_idx = static_cast<std::uint32_t>(idx);
+    b.count = count;
+    b.end_pc = static_cast<std::uint32_t>(2 * j);
+    std::uint64_t by_class[static_cast<int>(InstrClass::kCount)] = {};
+    const std::uint32_t body = terminated ? count - 1 : count;
+    for (std::uint32_t k = 0; k < body; ++k) {
+      for (unsigned c = 0; c < code[k].num_costs; ++c) {
+        by_class[static_cast<int>(code[k].costs[c].cls)] +=
+            code[k].costs[c].cycles;
+        b.cycles += code[k].costs[c].cycles;
       }
-      if (terminated) {
-        // Every terminator charges exactly one cost pair.
-        for (const bool taken : {false, true}) {
-          InstrCost c[2];
-          static_costs(code.back().ins, taken, c);
-          b.exit_cost[taken] = c[0];
-        }
-      }
-      for (int c = 0; c < static_cast<int>(InstrClass::kCount); ++c) {
-        if (by_class[c] != 0) {
-          b.hist.emplace_back(static_cast<InstrClass>(c), by_class[c]);
-        }
-      }
-      FusedInstr endf{};
-      endf.ins.op = static_cast<Op>(kEndOfBlockToken);
-      code.push_back(endf);
-      b.code = std::move(code);
-      img.block_at[idx] = static_cast<std::int32_t>(img.blocks.size());
-      img.fused_slots += count;
-      img.blocks.push_back(std::move(b));
     }
+    if (terminated) {
+      // Every terminator charges exactly one cost pair.
+      for (const bool taken : {false, true}) {
+        InstrCost c[2];
+        static_costs(code.back().ins, taken, c);
+        b.exit_cost[taken] = c[0];
+      }
+    }
+    for (int c = 0; c < static_cast<int>(InstrClass::kCount); ++c) {
+      if (by_class[c] != 0) {
+        b.hist.emplace_back(static_cast<InstrClass>(c), by_class[c]);
+      }
+    }
+    FusedInstr endf{};
+    endf.ins.op = static_cast<Op>(kEndOfBlockToken);
+    code.push_back(endf);
+    b.code = std::move(code);
+    img.block_at[idx] = static_cast<std::int32_t>(img.blocks.size());
+    img.fused_slots += count;
+    img.blocks.push_back(std::move(b));
     idx = j;
   }
   return img;

@@ -28,10 +28,8 @@
 //     PC and BX PC are excluded; ADR/LDR-literal/ADD-hi/MOV-hi with
 //     rm=PC fuse, because their pc+4 is a per-slot constant, and BL's
 //     return address is its pc+4);
-//   - a run ending in a terminator fuses whatever its length; a run with
-//     no terminator shorter than `kMinFuseLength` stays per-instruction
-//     (the dispatch overhead saved would not cover the block-entry
-//     checks).
+//   - every such run fuses, whatever its length, so the short run before
+//     a loop head is a block too and the chain never leaves for it.
 // After a terminator the dispatcher chains straight into the block at
 // the new PC when that PC is a block head and the block fits the chunk
 // budget (dispatch.cpp), so a loop runs block to block without returning
@@ -48,10 +46,6 @@
 #include "costmodel/energy.h"
 
 namespace eccm0::armvm {
-
-/// Minimum number of instructions a straight-line run with no terminator
-/// must have to be worth fusing into a SuperBlock.
-inline constexpr std::uint32_t kMinFuseLength = 3;
 
 /// Token byte of the terminator entry appended after the last real
 /// instruction of every SuperBlock's code array. One past the last Op

@@ -4,8 +4,8 @@
 // 32 data bits of every word plus whatever check bits the attached
 // memory model adds (33 for parity, 39 for SECDED) — flips
 // independently with probability `ber`. Injection happens at load time,
-// before the VM runs, so the per-step / predecoded / threaded engines
-// all execute against the same corrupted image and stay bit-identical.
+// before the VM runs, so the per-step and threaded engines both
+// execute against the same corrupted image and stay bit-identical.
 //
 // Determinism contract: the flip pattern is a pure function of the Rng
 // stream handed in (campaigns pass an Rng::split per run), and the

@@ -82,7 +82,7 @@ bool apply_fault(armvm::Cpu& cpu, armvm::Memory& ram,
         return true;
       }
       // The corruption is transient (one fetch), so the pristine
-      // predecode cache of the main core must not see it: execute the
+      // decode cache of the main core must not see it: execute the
       // one corrupted instruction on a scratch per-step core sharing
       // RAM, then hand the architectural state back.
       std::vector<std::uint16_t> corrupted = prog.code();

@@ -76,11 +76,11 @@ struct InjectedRun {
 /// retires one instruction per step — the trigger is a retirement
 /// index, and the watchdog counts between retirements — so outcomes
 /// are bit-identical across engines; the engine choice A/Bs the decode
-/// path (per-step decode vs the shared predecode cache).
+/// path (per-step decode vs the shared decode cache).
 InjectedRun run_with_fault(
     const armvm::ProgramRef& prog, armvm::Memory& ram, const FaultSpec& spec,
     std::uint64_t max_instructions = 1'000'000,
-    armvm::Cpu::DecodeMode engine = armvm::Cpu::DecodeMode::kPredecode);
+    armvm::Cpu::DecodeMode engine = armvm::Cpu::DecodeMode::kThreaded);
 
 /// Capture the fault-window checkpoint: a fresh run of `prog` (entry
 /// label "entry") stepped cleanly to retirement index `index` — or to
@@ -90,7 +90,7 @@ InjectedRun run_with_fault(
 /// the stepping.
 armvm::MachineSnapshot checkpoint_at(
     const armvm::ProgramRef& prog, armvm::Memory& ram, std::uint64_t index,
-    armvm::Cpu::DecodeMode engine = armvm::Cpu::DecodeMode::kPredecode);
+    armvm::Cpu::DecodeMode engine = armvm::Cpu::DecodeMode::kThreaded);
 
 /// Fork a checkpointed run: restore `at_injection` (taken by
 /// checkpoint_at at spec.index) into a fresh context over the same
@@ -102,6 +102,6 @@ InjectedRun run_with_fault_forked(
     const armvm::ProgramRef& prog, armvm::Memory& ram,
     const armvm::MachineSnapshot& at_injection, const FaultSpec& spec,
     std::uint64_t max_instructions = 1'000'000,
-    armvm::Cpu::DecodeMode engine = armvm::Cpu::DecodeMode::kPredecode);
+    armvm::Cpu::DecodeMode engine = armvm::Cpu::DecodeMode::kThreaded);
 
 }  // namespace eccm0::faultsim

@@ -34,7 +34,7 @@ struct TvlaCampaignConfig {
   /// Execution engine (`--engine=`). Trace collection is traced, so the
   /// threaded engine falls back per-instruction; t-digests are
   /// engine-independent by construction.
-  armvm::Cpu::DecodeMode engine = armvm::Cpu::DecodeMode::kPredecode;
+  armvm::Cpu::DecodeMode engine = armvm::Cpu::DecodeMode::kThreaded;
   /// Optional telemetry (nullptr = off). The `tvla.trace_cycles`
   /// histogram is recorded at the serial index-ordered accumulation
   /// from trace lengths (simulated cycles), so it is thread-count-

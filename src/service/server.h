@@ -59,8 +59,8 @@ struct ServerConfig {
   /// std::invalid_argument rather than wedging every client.
   std::size_t queue_depth = 64;
   /// Execution engine / memory model for every VM run the server does.
-  /// Threaded by default: bit-identical to the other engines and the
-  /// fastest of them (armvm/dispatch.cpp).
+  /// Threaded by default, like every other harness: bit-identical to
+  /// the per-step oracle and much faster (armvm/dispatch.cpp).
   armvm::Cpu::DecodeMode engine = armvm::Cpu::DecodeMode::kThreaded;
   armvm::MemModelConfig mem_model{};
   /// Coalesce identical concurrent workload requests into one run.

@@ -63,10 +63,10 @@ class KernelMachine {
  public:
   explicit KernelMachine(
       const std::string& kernel_name,
-      armvm::Cpu::DecodeMode mode = armvm::Cpu::DecodeMode::kPredecode,
+      armvm::Cpu::DecodeMode mode = armvm::Cpu::DecodeMode::kThreaded,
       const armvm::MemModelConfig& mem_model = {});
   KernelMachine(armvm::ProgramRef prog,
-                armvm::Cpu::DecodeMode mode = armvm::Cpu::DecodeMode::kPredecode,
+                armvm::Cpu::DecodeMode mode = armvm::Cpu::DecodeMode::kThreaded,
                 const armvm::MemModelConfig& mem_model = {});
 
   const armvm::Program& prog() const { return *prog_; }

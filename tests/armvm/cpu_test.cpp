@@ -1,9 +1,10 @@
 // Semantic tests of the Thumb interpreter: arithmetic flags, memory,
-// control flow, the M0+ cycle model and the call ABI — on all three
-// engines. Straight-line bodies are padded with NOPs to at least
-// kMinFuseLength instructions so that, on the threaded engine, the
-// instructions under test retire inside a fused block; those tests
-// assert it with expect_fused().
+// control flow, the M0+ cycle model and the call ABI — on both engines.
+// Every fusable run forms a block, so on the threaded engine the
+// straight-line bodies retire inside fused blocks (those tests assert it
+// with expect_fused()); the NOPs that pad some bodies put the
+// instructions under test, and the faults, in a block's interior rather
+// than at its head.
 #include "armvm/cpu.h"
 
 #include <gtest/gtest.h>
@@ -25,7 +26,7 @@ struct Machine {
   Cpu cpu;
 
   /// On the threaded engine, some of the run retired inside a fused
-  /// block (vacuous on the other engines).
+  /// block (vacuous on the per-step engine).
   void expect_fused() const {
     if (cpu.decode_mode() == Cpu::DecodeMode::kThreaded) {
       EXPECT_GT(cpu.fused_retired(), 0u);
@@ -392,8 +393,7 @@ less: movs r2, #1
 
 INSTANTIATE_TEST_SUITE_P(
     Engines, CpuTest,
-    ::testing::Values(Cpu::DecodeMode::kPerStep, Cpu::DecodeMode::kPredecode,
-                      Cpu::DecodeMode::kThreaded),
+    ::testing::Values(Cpu::DecodeMode::kPerStep, Cpu::DecodeMode::kThreaded),
     [](const ::testing::TestParamInfo<Cpu::DecodeMode>& info) {
       return std::string(decode_mode_name(info.param));
     });

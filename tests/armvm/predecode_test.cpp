@@ -1,8 +1,12 @@
-// Differential test of the pre-decoded execution engine against the
-// per-step-decode reference engine: on the real K-233 field kernels and a
-// kP-shaped schedule of them, both engines must retire the same
-// instruction stream — identical cycle counts, per-class histograms,
-// energy reports, trace-sink event streams, registers and memory.
+// Differential test of execution from the Program's decode cache (the
+// threaded engine's per-instruction path) against the per-step-decode
+// reference engine: on the real K-233 field kernels and a kP-shaped
+// schedule of them, both engines must retire the same instruction
+// stream — identical cycle counts, per-class histograms, energy reports,
+// trace-sink event streams, registers and memory — and trap undecodable
+// slots (literal pools, data words) with the per-step engine's errors.
+// Most cases attach a trace sink, so the threaded engine runs them
+// unfused; threaded_test.cpp covers the fused blocks.
 #include <gtest/gtest.h>
 
 #include <array>
@@ -58,22 +62,22 @@ struct Engine {
 void run_differential(const ProgramRef& prog,
                       const std::function<void(Memory&)>& setup) {
   Engine ref(prog, Cpu::DecodeMode::kPerStep);
-  Engine pre(prog, Cpu::DecodeMode::kPredecode);
+  Engine thr(prog, Cpu::DecodeMode::kThreaded);
   setup(ref.mem);
-  setup(pre.mem);
+  setup(thr.mem);
   const RunStats a = ref.cpu.call(prog->entry("entry"), {});
-  const RunStats b = pre.cpu.call(prog->entry("entry"), {});
+  const RunStats b = thr.cpu.call(prog->entry("entry"), {});
   expect_stats_identical(a, b);
-  EXPECT_EQ(ref.sink.events, pre.sink.events);
+  EXPECT_EQ(ref.sink.events, thr.sink.events);
   for (unsigned r = 0; r < 13; ++r) {
-    EXPECT_EQ(ref.cpu.reg(r), pre.cpu.reg(r)) << "r" << r;
+    EXPECT_EQ(ref.cpu.reg(r), thr.cpu.reg(r)) << "r" << r;
   }
-  EXPECT_EQ(ref.cpu.flag_n(), pre.cpu.flag_n());
-  EXPECT_EQ(ref.cpu.flag_z(), pre.cpu.flag_z());
-  EXPECT_EQ(ref.cpu.flag_c(), pre.cpu.flag_c());
-  EXPECT_EQ(ref.cpu.flag_v(), pre.cpu.flag_v());
+  EXPECT_EQ(ref.cpu.flag_n(), thr.cpu.flag_n());
+  EXPECT_EQ(ref.cpu.flag_z(), thr.cpu.flag_z());
+  EXPECT_EQ(ref.cpu.flag_c(), thr.cpu.flag_c());
+  EXPECT_EQ(ref.cpu.flag_v(), thr.cpu.flag_v());
   const auto ram_a = ref.mem.read_words(kRamBase, kRamSize / 4);
-  const auto ram_b = pre.mem.read_words(kRamBase, kRamSize / 4);
+  const auto ram_b = thr.mem.read_words(kRamBase, kRamSize / 4);
   EXPECT_EQ(ram_a, ram_b);
 }
 
@@ -89,7 +93,7 @@ void write_fe(Memory& mem, std::uint32_t off,
   for (int w = 0; w < 8; ++w) mem.store32(kRamBase + off + 4 * w, v[w]);
 }
 
-TEST(Predecode, FieldMulFixedRegistersIdentical) {
+TEST(DecodeCache, FieldMulFixedRegistersIdentical) {
   const ProgramRef prog = assemble(asmkernels::gen_mul_fixed(true));
   Rng rng(0xF1E1D);
   const auto x = random_fe(rng), y = random_fe(rng);
@@ -99,7 +103,7 @@ TEST(Predecode, FieldMulFixedRegistersIdentical) {
   });
 }
 
-TEST(Predecode, FieldMulPlainMemoryIdentical) {
+TEST(DecodeCache, FieldMulPlainMemoryIdentical) {
   const ProgramRef prog = assemble(asmkernels::gen_mul_plain(true));
   Rng rng(0x71A17);
   const auto x = random_fe(rng), y = random_fe(rng);
@@ -109,7 +113,7 @@ TEST(Predecode, FieldMulPlainMemoryIdentical) {
   });
 }
 
-TEST(Predecode, KpScheduleIdentical) {
+TEST(DecodeCache, KpScheduleIdentical) {
   // A kP-shaped schedule: the field-kernel mix of a (scaled-down) wTNAF
   // w=4 point multiplication — muls, squarings and one EEA inversion,
   // executed back-to-back on persistent per-kernel machines exactly like
@@ -166,19 +170,19 @@ TEST(Predecode, KpScheduleIdentical) {
     }
   };
 
-  RunStats ref_stats, pre_stats;
-  RecordingSink ref_sink, pre_sink;
-  std::vector<std::uint32_t> ref_out, pre_out;
+  RunStats ref_stats, thr_stats;
+  RecordingSink ref_sink, thr_sink;
+  std::vector<std::uint32_t> ref_out, thr_out;
   run_schedule(Cpu::DecodeMode::kPerStep, ref_stats, ref_sink, ref_out);
-  run_schedule(Cpu::DecodeMode::kPredecode, pre_stats, pre_sink, pre_out);
-  expect_stats_identical(ref_stats, pre_stats);
-  EXPECT_EQ(ref_sink.events, pre_sink.events);
-  EXPECT_EQ(ref_out, pre_out);
-  EXPECT_GT(pre_stats.instructions, 100000u);  // a real workload, not a stub
+  run_schedule(Cpu::DecodeMode::kThreaded, thr_stats, thr_sink, thr_out);
+  expect_stats_identical(ref_stats, thr_stats);
+  EXPECT_EQ(ref_sink.events, thr_sink.events);
+  EXPECT_EQ(ref_out, thr_out);
+  EXPECT_GT(thr_stats.instructions, 100000u);  // a real workload, not a stub
 }
 
-TEST(Predecode, RichTraceStreamsIdenticalForMulAndSqrKernels) {
-  // Both decode engines must emit bit-identical *rich* trace event
+TEST(DecodeCache, RichTraceStreamsIdenticalForMulAndSqrKernels) {
+  // Both engines must emit bit-identical *rich* trace event
   // streams — same PCs, decoded instructions, cost pairs and memory
   // access addresses/widths — for the K-233 mul and square kernels.
   Rng rng(0x51C);
@@ -187,18 +191,18 @@ TEST(Predecode, RichTraceStreamsIdenticalForMulAndSqrKernels) {
                                         : asmkernels::gen_mul_plain(true));
     const auto x = random_fe(rng), y = random_fe(rng);
     Engine ref(prog, Cpu::DecodeMode::kPerStep);
-    Engine pre(prog, Cpu::DecodeMode::kPredecode);
-    for (Memory* mem : {&ref.mem, &pre.mem}) {
+    Engine thr(prog, Cpu::DecodeMode::kThreaded);
+    for (Memory* mem : {&ref.mem, &thr.mem}) {
       write_fe(*mem, asmkernels::kXOff, x);
       write_fe(*mem, asmkernels::kYOff, y);
     }
     ref.cpu.call(prog->entry("entry"), {});
-    pre.cpu.call(prog->entry("entry"), {});
-    ASSERT_EQ(ref.sink.events.size(), pre.sink.events.size());
-    EXPECT_EQ(ref.sink.events, pre.sink.events);
+    thr.cpu.call(prog->entry("entry"), {});
+    ASSERT_EQ(ref.sink.events.size(), thr.sink.events.size());
+    EXPECT_EQ(ref.sink.events, thr.sink.events);
     // The stream is genuinely rich: it carries memory addresses.
     std::uint64_t accesses = 0, load_words = 0;
-    for (const TraceEvent& ev : pre.sink.events) {
+    for (const TraceEvent& ev : thr.sink.events) {
       accesses += ev.num_accesses;
       for (unsigned i = 0; i < ev.num_accesses; ++i) {
         if (!ev.accesses[i].store && ev.accesses[i].width == 4) ++load_words;
@@ -214,8 +218,8 @@ TEST(Predecode, RichTraceStreamsIdenticalForMulAndSqrKernels) {
   const ProgramRef sqr_prog = assemble(asmkernels::gen_sqr());
   const auto a = random_fe(rng);
   Engine ref(sqr_prog, Cpu::DecodeMode::kPerStep);
-  Engine pre(sqr_prog, Cpu::DecodeMode::kPredecode);
-  for (Memory* mem : {&ref.mem, &pre.mem}) {
+  Engine thr(sqr_prog, Cpu::DecodeMode::kThreaded);
+  for (Memory* mem : {&ref.mem, &thr.mem}) {
     write_fe(*mem, asmkernels::kInOff, a);
     for (unsigned i = 0; i < 256; ++i) {
       mem->store16(kRamBase + asmkernels::kSqrTabOff + 2 * i,
@@ -223,15 +227,15 @@ TEST(Predecode, RichTraceStreamsIdenticalForMulAndSqrKernels) {
     }
   }
   ref.cpu.call(sqr_prog->entry("entry"), {});
-  pre.cpu.call(sqr_prog->entry("entry"), {});
-  EXPECT_EQ(ref.sink.events, pre.sink.events);
+  thr.cpu.call(sqr_prog->entry("entry"), {});
+  EXPECT_EQ(ref.sink.events, thr.sink.events);
   // Simulated-clock timestamps reconstruct the cycle count exactly.
-  ASSERT_FALSE(pre.sink.events.empty());
-  const TraceEvent& last = pre.sink.events.back();
-  EXPECT_EQ(last.cycle + last.cycles(), pre.cpu.stats().cycles);
+  ASSERT_FALSE(thr.sink.events.empty());
+  const TraceEvent& last = thr.sink.events.back();
+  EXPECT_EQ(last.cycle + last.cycles(), thr.cpu.stats().cycles);
 }
 
-TEST(Predecode, LoopingInversionKernelIdentical) {
+TEST(DecodeCache, LoopingInversionKernelIdentical) {
   // The EEA inversion is the one genuinely branchy, data-dependent
   // kernel — the strongest exercise of branch-target handling in the
   // cached engine.
@@ -244,7 +248,7 @@ TEST(Predecode, LoopingInversionKernelIdentical) {
   });
 }
 
-TEST(Predecode, LiteralPoolDataSlotsAreHarmless) {
+TEST(DecodeCache, LiteralPoolDataSlotsAreHarmless) {
   // `ldr rN, =imm` materializes a literal pool after the code; those
   // data words do not decode as instructions. Predecoding must tolerate
   // them (lazy trap slots) and execution must never touch the traps.
@@ -256,15 +260,15 @@ entry:
     bx lr
 )");
   Engine ref(prog, Cpu::DecodeMode::kPerStep);
-  Engine pre(prog, Cpu::DecodeMode::kPredecode);
+  Engine thr(prog, Cpu::DecodeMode::kThreaded);
   const RunStats a = ref.cpu.call(prog->entry("entry"), {});
-  const RunStats b = pre.cpu.call(prog->entry("entry"), {});
+  const RunStats b = thr.cpu.call(prog->entry("entry"), {});
   expect_stats_identical(a, b);
   EXPECT_EQ(ref.cpu.reg(0), 0x12345678u + 0xCAFEBABEu);
-  EXPECT_EQ(pre.cpu.reg(0), 0x12345678u + 0xCAFEBABEu);
+  EXPECT_EQ(thr.cpu.reg(0), 0x12345678u + 0xCAFEBABEu);
 }
 
-TEST(Predecode, UndecodableSlotTrapsWithPerStepError) {
+TEST(DecodeCache, UndecodableSlotTrapsWithPerStepError) {
   // Jumping into a data word must raise the same decode error the
   // per-step engine raises, from the same architectural state.
   const std::vector<std::uint16_t> image = {
@@ -273,7 +277,7 @@ TEST(Predecode, UndecodableSlotTrapsWithPerStepError) {
   };
   Memory mem_a(kRamSize), mem_b(kRamSize);
   Cpu ref(image, mem_a, Cpu::DecodeMode::kPerStep);
-  Cpu pre(image, mem_b, Cpu::DecodeMode::kPredecode);
+  Cpu thr(image, mem_b, Cpu::DecodeMode::kThreaded);
   std::string err_a, err_b;
   try {
     ref.call(0, {});
@@ -281,18 +285,18 @@ TEST(Predecode, UndecodableSlotTrapsWithPerStepError) {
     err_a = e.what();
   }
   try {
-    pre.call(0, {});
+    thr.call(0, {});
   } catch (const std::invalid_argument& e) {
     err_b = e.what();
   }
   EXPECT_FALSE(err_a.empty());
   EXPECT_EQ(err_a, err_b);
-  expect_stats_identical(ref.stats(), pre.stats());
+  expect_stats_identical(ref.stats(), thr.stats());
   EXPECT_EQ(ref.reg(0), 7u);
-  EXPECT_EQ(pre.reg(0), 7u);
+  EXPECT_EQ(thr.reg(0), 7u);
 }
 
-TEST(Predecode, TypedDecodeFaultIdenticalAcrossEngines) {
+TEST(DecodeCache, TypedDecodeFaultIdenticalAcrossEngines) {
   // Both engines must raise the same typed DecodeFault — same kind,
   // message, faulting address AND architectural-state snapshot.
   const std::vector<std::uint16_t> image = {
@@ -301,7 +305,7 @@ TEST(Predecode, TypedDecodeFaultIdenticalAcrossEngines) {
   };
   Memory mem_a(kRamSize), mem_b(kRamSize);
   Cpu ref(image, mem_a, Cpu::DecodeMode::kPerStep);
-  Cpu pre(image, mem_b, Cpu::DecodeMode::kPredecode);
+  Cpu thr(image, mem_b, Cpu::DecodeMode::kThreaded);
   auto capture = [](Cpu& cpu) {
     try {
       cpu.call(0, {});
@@ -314,7 +318,7 @@ TEST(Predecode, TypedDecodeFaultIdenticalAcrossEngines) {
                            std::uint32_t{0}, ArchState{});
   };
   const auto a = capture(ref);
-  const auto b = capture(pre);
+  const auto b = capture(thr);
   EXPECT_EQ(std::get<0>(a), FaultKind::kDecodeFault);
   EXPECT_EQ(std::get<0>(a), std::get<0>(b));
   EXPECT_EQ(std::get<1>(a), std::get<1>(b));
@@ -324,7 +328,7 @@ TEST(Predecode, TypedDecodeFaultIdenticalAcrossEngines) {
   EXPECT_EQ(std::get<3>(a).instructions, 1u);
 }
 
-TEST(Predecode, MemoryFaultStateIdenticalAcrossEngines) {
+TEST(DecodeCache, MemoryFaultStateIdenticalAcrossEngines) {
   // A data abort mid-run: a load from far outside RAM must surface as
   // the same BusFault, with identical state, from both engines.
   const ProgramRef prog = assemble(R"(
@@ -335,7 +339,7 @@ entry:
     bx lr
 )");
   Engine ref(prog, Cpu::DecodeMode::kPerStep);
-  Engine pre(prog, Cpu::DecodeMode::kPredecode);
+  Engine thr(prog, Cpu::DecodeMode::kThreaded);
   auto capture = [&](Cpu& cpu) {
     try {
       cpu.call(prog->entry("entry"), {});
@@ -347,38 +351,38 @@ entry:
     return std::make_tuple(std::string{}, std::uint32_t{0}, ArchState{});
   };
   const auto a = capture(ref.cpu);
-  const auto b = capture(pre.cpu);
+  const auto b = capture(thr.cpu);
   EXPECT_EQ(std::get<0>(a), std::get<0>(b));
   EXPECT_EQ(std::get<1>(a), 0x30000000u);
   EXPECT_EQ(std::get<1>(a), std::get<1>(b));
   EXPECT_EQ(std::get<2>(a), std::get<2>(b));
   EXPECT_EQ(std::get<2>(a).r[0], 7u);
-  EXPECT_EQ(ref.sink.events, pre.sink.events);
+  EXPECT_EQ(ref.sink.events, thr.sink.events);
 }
 
-TEST(Predecode, InstructionBudgetTripsIdentically) {
+TEST(DecodeCache, InstructionBudgetTripsIdentically) {
   const ProgramRef prog = assemble(R"(
 entry:
 loop: b loop
 )");
   Engine ref(prog, Cpu::DecodeMode::kPerStep);
-  Engine pre(prog, Cpu::DecodeMode::kPredecode);
+  Engine thr(prog, Cpu::DecodeMode::kThreaded);
   EXPECT_THROW(ref.cpu.call(prog->entry("entry"), {}, 100000),
                std::runtime_error);  // legacy catch still works
-  ArchState pre_state;
+  ArchState thr_state;
   try {
-    pre.cpu.call(prog->entry("entry"), {}, 100000);
+    thr.cpu.call(prog->entry("entry"), {}, 100000);
     ADD_FAILURE() << "budget did not trip";
   } catch (const BudgetFault& f) {
     EXPECT_EQ(f.kind(), FaultKind::kBudgetExhausted);
     ASSERT_TRUE(f.has_state());
-    pre_state = f.state();
+    thr_state = f.state();
   }
   // Both engines retired exactly budget + 1 instructions before tripping.
-  expect_stats_identical(ref.cpu.stats(), pre.cpu.stats());
-  EXPECT_EQ(pre.cpu.stats().instructions, 100001u);
-  EXPECT_EQ(pre_state.instructions, 100001u);
-  EXPECT_EQ(pre_state, pre.cpu.arch_state());
+  expect_stats_identical(ref.cpu.stats(), thr.cpu.stats());
+  EXPECT_EQ(thr.cpu.stats().instructions, 100001u);
+  EXPECT_EQ(thr_state.instructions, 100001u);
+  EXPECT_EQ(thr_state, thr.cpu.arch_state());
 }
 
 }  // namespace

@@ -3,10 +3,11 @@
 // and NZCV flags must match a host-side reference implementation of the
 // ARMv6-M pseudocode.
 //
-// Every case runs on all three engines. Each body is wrapped in NOP
-// padding so that, on the threaded engine, the instruction under test
-// executes inside a fused superblock (kMinFuseLength is 3) rather than on
-// the per-instruction fallback; the harness asserts that it did.
+// Every case runs on both engines. On the threaded engine the
+// instruction under test executes inside a fused superblock rather than
+// on the per-instruction fallback, and the harness asserts that it did;
+// the NOP padding around each body puts it in the block's interior, not
+// at its head.
 #include <gtest/gtest.h>
 
 #include <bit>
@@ -86,9 +87,9 @@ Flags nz_of(std::uint32_t v, bool c, bool vflag) {
 
 class Harness {
  public:
-  /// `body` is padded with one NOP on each side so that even a single
-  /// instruction forms a fusable run of three. Bodies containing control
-  /// flow pass `expect_fused = false`.
+  /// `body` is padded with one NOP on each side, so even a single
+  /// instruction sits inside the block that `bx lr` closes. Bodies
+  /// containing control flow pass `expect_fused = false`.
   Harness(Cpu::DecodeMode mode, const std::string& body,
           bool expect_fused = true)
       : prog_(assemble("fn:\n    nop\n" + body + "    nop\n    bx lr\n")),
@@ -539,8 +540,7 @@ TEST_P(Semantics, NopChangesNothing) {
 
 INSTANTIATE_TEST_SUITE_P(
     Engines, Semantics,
-    ::testing::Values(Cpu::DecodeMode::kPerStep, Cpu::DecodeMode::kPredecode,
-                      Cpu::DecodeMode::kThreaded),
+    ::testing::Values(Cpu::DecodeMode::kPerStep, Cpu::DecodeMode::kThreaded),
     [](const ::testing::TestParamInfo<Cpu::DecodeMode>& info) {
       return std::string(decode_mode_name(info.param));
     });

@@ -52,7 +52,7 @@ struct InvRun {
   InvRun()
       : prog(armvm::assemble(asmkernels::gen_inv())),
         mem(kRamSize),
-        cpu(prog, mem, armvm::Cpu::DecodeMode::kPredecode) {}
+        cpu(prog, mem) {}
   armvm::RunStats run(Rng& rng) {
     auto a = random_fe(rng);
     a[0] |= 1;
@@ -171,7 +171,7 @@ TEST(Profiler, AgreesWithPowerRigAndRunStatsOnEnergy) {
   const armvm::ProgramRef prog =
       armvm::assemble(asmkernels::gen_mul_fixed(true));
   armvm::Memory mem(kRamSize);
-  armvm::Cpu cpu(prog, mem, armvm::Cpu::DecodeMode::kPredecode);
+  armvm::Cpu cpu(prog, mem);
   Rng rng(0xE4E26);
   write_fe(mem, asmkernels::kXOff, random_fe(rng));
   write_fe(mem, asmkernels::kYOff, random_fe(rng));
@@ -207,7 +207,7 @@ TEST(MemHeatmap, FixedRegisterMulStarvesRegisteredProductWords) {
         fixed ? asmkernels::gen_mul_fixed(true)
               : asmkernels::gen_mul_plain(true));
     armvm::Memory mem(kRamSize);
-    armvm::Cpu cpu(prog, mem, armvm::Cpu::DecodeMode::kPredecode);
+    armvm::Cpu cpu(prog, mem);
     write_fe(mem, asmkernels::kXOff, x);
     write_fe(mem, asmkernels::kYOff, y);
     auto heat = std::make_unique<MemHeatmap>(kRamSize);

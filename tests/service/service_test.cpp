@@ -158,16 +158,16 @@ TEST(Server, ServedWorkloadPayloadsAreBitIdenticalToDirectCalls) {
   server.stop();
 }
 
-TEST(Server, DefaultThreadedServerMatchesPredecodeServer) {
-  // Serve runs on the threaded engine by default. A predecode server
-  // must answer the same request with the same simulated results: every
-  // payload field is equal except the engine name and the threaded
-  // engine's fused-retirement diagnostic (0 on predecode).
+TEST(Server, PerStepServerMatchesDefaultServer) {
+  // Serve runs on the threaded engine by default. A server on the
+  // per-step oracle must answer the same request with the same simulated
+  // results: every payload field is equal except the engine name and the
+  // threaded engine's fused-retirement diagnostic (0 on per-step).
   EXPECT_EQ(ServerConfig{}.engine, armvm::Cpu::DecodeMode::kThreaded);
   std::vector<telemetry::Json> payloads;
-  for (const bool predecode : {true, false}) {
+  for (const bool perstep : {true, false}) {
     ServerConfig cfg = test_config(1);
-    if (predecode) cfg.engine = armvm::Cpu::DecodeMode::kPredecode;
+    if (perstep) cfg.engine = armvm::Cpu::DecodeMode::kPerStep;
     Server server(cfg);
     server.start();
     Client client;
@@ -179,18 +179,18 @@ TEST(Server, DefaultThreadedServerMatchesPredecodeServer) {
     payloads.push_back(*resp.get("payload"));
     server.stop();
   }
-  const telemetry::Json& pre = payloads[0];
+  const telemetry::Json& ref = payloads[0];
   const telemetry::Json& thr = payloads[1];
-  EXPECT_EQ(pre.get("engine")->as_string(), "predecode");
+  EXPECT_EQ(ref.get("engine")->as_string(), "perstep");
   EXPECT_EQ(thr.get("engine")->as_string(), "threaded");
-  EXPECT_EQ(pre.get("fused_retired")->as_u64(), 0u);
+  EXPECT_EQ(ref.get("fused_retired")->as_u64(), 0u);
   EXPECT_GT(thr.get("fused_retired")->as_u64(), 0u);
   for (const char* key : {"cycles", "instructions", "output_digest"}) {
-    EXPECT_EQ(pre.get(key)->dump(), thr.get(key)->dump()) << key;
+    EXPECT_EQ(ref.get(key)->dump(), thr.get(key)->dump()) << key;
   }
-  ASSERT_EQ(pre.size(), thr.size());
-  for (std::size_t i = 0; i < pre.members().size(); ++i) {
-    const auto& [key, value] = pre.members()[i];
+  ASSERT_EQ(ref.size(), thr.size());
+  for (std::size_t i = 0; i < ref.members().size(); ++i) {
+    const auto& [key, value] = ref.members()[i];
     EXPECT_EQ(key, thr.members()[i].first);
     if (key == "engine" || key == "fused_retired") continue;
     EXPECT_EQ(value.dump(), thr.members()[i].second.dump()) << key;
